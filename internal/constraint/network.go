@@ -77,16 +77,20 @@ type Network struct {
 	regions *regionCache
 
 	// Dirty-set tracking for incremental re-propagation. dirty/dirtyList
-	// record properties whose binding changed through the Network API
-	// since the last fixpoint marker; allDirty subsumes the list after a
-	// bulk change (ResetFeasible, Restore, CloneInto). fixValid marks
-	// that the current feasible subspaces are the fixpoint of a full
+	// record properties whose region must be re-derived: a binding
+	// changed through the Network API, or a constraint status on them was
+	// written outside propagation (SetStatus, EvaluateStatus), since the
+	// last fixpoint marker; allDirty subsumes the list after a bulk
+	// change (ResetFeasible, Restore, EvaluateAll). fixValid marks that
+	// the current feasible subspaces are the fixpoint of a full
 	// reset-and-propagate at generation fixGen under options fixOpts —
 	// the precondition for an incremental run to skip clean regions.
 	// Only Propagate with Incremental set establishes the marker, because
-	// only that entry point owns the initial ResetFeasible; direct
-	// Property mutations (Property.Bind, Property.SetFeasible) bypass
-	// this tracking, so code paths that use them must not opt in.
+	// only that entry point owns the initial ResetFeasible. CloneInto
+	// copies marker and dirty set: a copy of a fixpoint is a fixpoint.
+	// Direct Property mutations (Property.Bind, Property.SetFeasible on
+	// an unbound property) bypass this tracking, so code paths that use
+	// them must not opt in.
 	dirty     []bool
 	dirtyList []int
 	allDirty  bool
@@ -346,10 +350,14 @@ func (n *Network) Status(name string) Status {
 }
 
 // SetStatus records a status computed externally (e.g. by a
-// verification operator in conventional mode).
+// verification operator). A full propagation would overwrite it, so the
+// constraint's region is marked dirty without rebinding anything: the
+// next incremental run re-derives the status exactly as a full run
+// would.
 func (n *Network) SetStatus(name string, s Status) {
 	if ci, ok := n.conIDs[name]; ok {
 		n.status[ci] = s
+		n.markConstraintDirty(ci)
 	}
 }
 
@@ -400,6 +408,17 @@ func (n *Network) markDirty(pid int) {
 	if !n.dirty[pid] {
 		n.dirty[pid] = true
 		n.dirtyList = append(n.dirtyList, pid)
+	}
+}
+
+// markConstraintDirty marks the region of constraint ci dirty through
+// one of its arguments. A constraint over no property belongs to no
+// region, so only a full run re-evaluates it.
+func (n *Network) markConstraintDirty(ci int) {
+	if args := n.conArgs[ci]; len(args) > 0 {
+		n.markDirty(args[0])
+	} else {
+		n.markAllDirty()
 	}
 }
 
@@ -484,6 +503,7 @@ func (n *Network) Value(name string) (float64, bool) {
 
 // EvaluateStatus computes and records the status of a single constraint
 // from the current property state, incrementing the evaluation counter.
+// Like SetStatus it marks the constraint's region dirty.
 func (n *Network) EvaluateStatus(c *Constraint) Status {
 	n.evals++
 	var s Status
@@ -494,6 +514,7 @@ func (n *Network) EvaluateStatus(c *Constraint) Status {
 			s = c.StatusOver(n)
 		}
 		n.status[ci] = s
+		n.markConstraintDirty(ci)
 	} else {
 		s = c.StatusOver(n)
 	}
@@ -501,7 +522,8 @@ func (n *Network) EvaluateStatus(c *Constraint) Status {
 }
 
 // EvaluateAll computes and records the status of every constraint (one
-// evaluation each) and returns the names of violated constraints.
+// evaluation each) and returns the names of violated constraints. The
+// next incremental propagation falls back to a full run.
 func (n *Network) EvaluateAll() []string {
 	var violated []string
 	for ci, c := range n.conList {
@@ -512,6 +534,7 @@ func (n *Network) EvaluateAll() []string {
 			violated = append(violated, c.Name)
 		}
 	}
+	n.markAllDirty()
 	return violated
 }
 
@@ -627,6 +650,12 @@ func (n *Network) Clone() *Network {
 // network once per bound variable). The fast path copies only mutable
 // state — feasible subspaces, bindings, statuses, the eval counter —
 // with no allocation beyond first-time bound-value boxes.
+//
+// Both paths carry the incremental fixpoint marker and the dirty set
+// across: dst holds n's state verbatim, so an incremental Propagate on
+// dst re-derives exactly the regions it would on n — plus whatever the
+// caller edits on dst first. Concurrent CloneInto calls from one source
+// into distinct, already primed destinations only read the source.
 func (n *Network) CloneInto(dst *Network) {
 	if dst == n {
 		return
@@ -649,8 +678,7 @@ func (n *Network) CloneInto(dst *Network) {
 		}
 		copy(dst.status, n.status)
 		dst.evals = n.evals
-		dst.markAllDirty()
-		dst.fixValid = false
+		n.copyMarkerInto(dst)
 		return
 	}
 
@@ -679,8 +707,23 @@ func (n *Network) CloneInto(dst *Network) {
 	// the fast path keeps them because the structure tables are identical.
 	dst.views = nil
 	dst.regions = nil
-	dst.markAllDirty()
-	dst.fixValid = false
+	n.copyMarkerInto(dst)
+}
+
+// copyMarkerInto gives dst n's fixpoint marker, dirty set and — being
+// pure structure, immutable once built — region partition.
+func (n *Network) copyMarkerInto(dst *Network) {
+	dst.clearDirty()
+	for _, pid := range n.dirtyList {
+		dst.markDirty(pid)
+	}
+	dst.allDirty = n.allDirty
+	dst.fixValid = n.fixValid
+	dst.fixGen = n.fixGen
+	dst.fixOpts = n.fixOpts
+	if n.regions != nil {
+		dst.regions = n.regions
+	}
 }
 
 // SortedPropertyNames returns property names sorted lexicographically.

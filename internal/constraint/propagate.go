@@ -63,16 +63,18 @@ type PropagateOptions struct {
 	// ResetFeasible followed by a full Propagate with the same options —
 	// bit-identical windows and statuses — but only resets and revisits
 	// the regions (regions.go) containing a property whose binding
-	// changed since the last incremental fixpoint. Structural edits,
-	// Restore, CloneInto, ResetFeasible, a capped run, or changed
-	// options all invalidate the fixpoint marker and force the next
-	// incremental run to fall back to the full reset-and-propagate.
+	// changed — or a constraint status was written outside propagation
+	// (SetStatus, EvaluateStatus) — since the last incremental fixpoint.
+	// Structural edits, Restore, ResetFeasible, EvaluateAll, a capped
+	// run, or changed options all invalidate the fixpoint marker and
+	// force the next incremental run to fall back to the full
+	// reset-and-propagate; CloneInto carries the marker to the copy.
 	// Evaluations/Revisions/Narrowed/Emptied then describe only the
-	// re-propagated regions; Violated and the network state are global.
+	// re-derived regions (Network.Rederived says which); Violated and
+	// the network state are global.
 	//
-	// Only binding changes made through the Network API (Bind, BindReal,
-	// Unbind) are tracked; callers that mutate Property state directly
-	// must not opt in.
+	// Only changes made through the Network API are tracked; callers that
+	// mutate Property state directly must not opt in.
 	Incremental bool
 	// Priority orders the worklist by largest expected narrowing first —
 	// a constraint woken by a bigger relative shrink of one of its
@@ -166,10 +168,13 @@ type propScratch struct {
 	revMark  []bool
 	revList  []int
 	pre      []interval.Interval
-	// regionMark/regionList collect the dirty regions of an incremental
-	// run (cleared after seeding).
-	regionMark []bool
-	regionList []int
+	// regionMark/regionList hold the regions the last run re-derived
+	// when it was an incremental run that skipped the others; they stay
+	// set for Network.Rederived until the next run seeds. rederivedAll
+	// says the last run re-derived every region instead.
+	regionMark   []bool
+	regionList   []int
+	rederivedAll bool
 	// shadows holds the reusable HC4 forward trees per constraint id;
 	// they persist across runs.
 	shadows []*expr.Shadow
@@ -303,13 +308,18 @@ func (n *Network) canIncremental(opts PropagateOptions) bool {
 // in ascending constraint id order either way — the same order a full
 // run seeds them in.
 func (n *Network) seedWorklist(sc *propScratch, opts PropagateOptions) {
+	for _, r := range sc.regionList {
+		sc.regionMark[r] = false
+	}
+	sc.regionList = sc.regionList[:0]
+	sc.rederivedAll = true
 	if opts.Incremental {
 		if n.canIncremental(opts) {
+			sc.rederivedAll = false
 			rc := n.getRegionCache()
 			if len(sc.regionMark) < len(rc.regionProps) {
 				sc.regionMark = make([]bool, len(rc.regionProps))
 			}
-			sc.regionList = sc.regionList[:0]
 			for _, pid := range n.dirtyList {
 				r := rc.propRegion[pid]
 				if !sc.regionMark[r] {
@@ -327,9 +337,6 @@ func (n *Network) seedWorklist(sc *propScratch, opts PropagateOptions) {
 					sc.inQueue[ci] = true
 				}
 			}
-			for _, r := range sc.regionList {
-				sc.regionMark[r] = false
-			}
 			return
 		}
 		// Marker invalid: this entry point owns the reset, so fall back
@@ -340,6 +347,27 @@ func (n *Network) seedWorklist(sc *propScratch, opts PropagateOptions) {
 		sc.queue = append(sc.queue, ci)
 		sc.inQueue[ci] = true
 	}
+}
+
+// Rederived reports whether the most recent Propagate on this network
+// reset and re-derived the region containing the named property: every
+// region after a full run (an incremental run's fallback included), only
+// the dirty ones after an incremental run that skipped the rest. What
+// the network holds for any other region — windows, statuses, and
+// whatever a caller stored in a bound property's feasible subspace —
+// is untouched by that run. The answer describes the structure the run
+// saw; ask before the next structural edit.
+func (n *Network) Rederived(prop string) bool {
+	sc := n.scratch
+	pid := n.propID(prop)
+	if sc == nil || pid < 0 {
+		return false
+	}
+	if sc.rederivedAll {
+		return true
+	}
+	r := n.getRegionCache().propRegion[pid]
+	return r < len(sc.regionMark) && sc.regionMark[r]
 }
 
 // noteFixpoint maintains the incremental marker after a run. Only

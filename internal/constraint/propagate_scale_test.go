@@ -335,3 +335,105 @@ func TestParallelIncremental(t *testing.T) {
 		assertStateEqual(t, fmt.Sprintf("parallel-inc step %d", step), ref, inc)
 	}
 }
+
+// TestIncrementalCloneCarriesMarker: a copy of a fixpoint is a fixpoint.
+// An incremental run on a clone (first-time and reused destination)
+// does no work until the clone is edited, then re-derives exactly the
+// edited region — bit-identical to reset + full on the same edit — and
+// says so through Rederived. A dirty property of the source is carried
+// across as well.
+func TestIncrementalCloneCarriesMarker(t *testing.T) {
+	sn := scenario.MustScale("sparse", 500, 1)
+	src, err := sn.Scenario.BuildNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := bigBudget(src)
+	incOpts := opts
+	incOpts.Incremental = true
+	first := src.Propagate(incOpts)
+	if first.Capped {
+		t.Fatal("initial run capped")
+	}
+	a, b := "p000001", "p000100" // blocks of 64 are separate regions
+	if src.RegionOf(a) == src.RegionOf(b) {
+		t.Fatalf("%s and %s share a region", a, b)
+	}
+	if !src.Rederived(a) || !src.Rederived(b) {
+		t.Fatal("a full run must report every region re-derived")
+	}
+
+	dst := &constraint.Network{}
+	for round := 0; round < 2; round++ { // slow path, then fast path
+		src.CloneInto(dst)
+		if res := dst.Propagate(incOpts); res.Revisions != 0 {
+			t.Fatalf("round %d: unedited clone did %d revisions", round, res.Revisions)
+		}
+		if dst.Rederived(a) || dst.Rederived(b) {
+			t.Fatalf("round %d: a run that skipped every region reports one re-derived", round)
+		}
+
+		src.CloneInto(dst)
+		if err := dst.BindReal(a, sn.Witness[a]); err != nil {
+			t.Fatal(err)
+		}
+		res := dst.Propagate(incOpts)
+		if res.Revisions == 0 || res.Revisions >= first.Revisions {
+			t.Fatalf("round %d: edited clone did %d revisions, full run %d", round, res.Revisions, first.Revisions)
+		}
+		if !dst.Rederived(a) || dst.Rederived(b) {
+			t.Fatalf("round %d: Rederived(%s)=%v Rederived(%s)=%v, want true false",
+				round, a, dst.Rederived(a), b, dst.Rederived(b))
+		}
+		ref := src.Clone()
+		if err := ref.BindReal(a, sn.Witness[a]); err != nil {
+			t.Fatal(err)
+		}
+		ref.ResetFeasible()
+		ref.Propagate(opts)
+		assertStateEqual(t, fmt.Sprintf("round %d", round), ref, dst)
+	}
+
+	// An edit the source has not propagated yet travels with the copy.
+	if err := src.BindReal(b, sn.Witness[b]); err != nil {
+		t.Fatal(err)
+	}
+	src.CloneInto(dst)
+	dst.Propagate(incOpts)
+	if dst.Rederived(a) || !dst.Rederived(b) {
+		t.Fatalf("carried dirty set: Rederived(%s)=%v Rederived(%s)=%v, want false true",
+			a, dst.Rederived(a), b, dst.Rederived(b))
+	}
+	src.Propagate(incOpts)
+	assertStateEqual(t, "carried dirty set", src, dst)
+}
+
+// TestIncrementalRederivesExternalStatus: a status written outside
+// propagation is overwritten by a full run, so the incremental run has
+// to re-derive its region — and only that one.
+func TestIncrementalRederivesExternalStatus(t *testing.T) {
+	sn := scenario.MustScale("sparse", 500, 1)
+	net, err := sn.Scenario.BuildNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := bigBudget(net)
+	opts.Incremental = true
+	first := net.Propagate(opts)
+	c := net.Constraints()[0]
+	want := net.Status(c.Name)
+	if want == constraint.Violated {
+		t.Fatalf("%s is violated on a satisfiable network", c.Name)
+	}
+	net.SetStatus(c.Name, constraint.Violated)
+	res := net.Propagate(opts)
+	if got := net.Status(c.Name); got != want {
+		t.Errorf("status %v after the incremental run, want the propagated %v", got, want)
+	}
+	if res.Revisions == 0 || res.Revisions >= first.Revisions {
+		t.Errorf("%d revisions, want one region's share of %d", res.Revisions, first.Revisions)
+	}
+	if !net.Rederived(c.Args()[0]) {
+		t.Errorf("the constraint's region is not reported re-derived")
+	}
+}

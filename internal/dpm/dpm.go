@@ -64,6 +64,10 @@ type DPM struct {
 	// the sequential MovementWindow path. Like the rest of the DPM,
 	// these are not safe for concurrent use of one DPM.
 	scratches []*constraint.Network
+	// outputs caches windowOutputs; jobs is refreshMovementWindows'
+	// reusable selection from it.
+	outputs []*constraint.Property
+	jobs    []*constraint.Property
 	// tracer, when non-nil, receives operation and window-refresh
 	// events. SetTracer also attaches it to Net for propagate events;
 	// scratch networks never carry it (Network.CloneInto drops it).
@@ -117,6 +121,12 @@ func New(net *constraint.Network, problems []*Problem, mode Mode) (*DPM, error) 
 // FromScenario builds a DPM (network + problem hierarchy) from a parsed
 // DDDL scenario.
 func FromScenario(scn *dddl.Scenario, mode Mode) (*DPM, error) {
+	return fromScenario(scn, mode, (*DPM).evaluate)
+}
+
+// fromScenario is FromScenario with the ADPM evaluation step passed in,
+// so the test-only reference (export_test.go) shares everything else.
+func fromScenario(scn *dddl.Scenario, mode Mode, evaluate func(*DPM) constraint.PropagateResult) (*DPM, error) {
 	net, err := scn.BuildNetwork()
 	if err != nil {
 		return nil, err
@@ -168,11 +178,57 @@ func FromScenario(scn *dddl.Scenario, mode Mode) (*DPM, error) {
 	if mode == ADPM {
 		// Initial propagation: requirements bound by the scenario are
 		// immediately reflected in feasible subspaces.
-		net.Propagate(d.PropOpts)
-		d.refreshMovementWindows()
+		evaluate(d)
 		d.refreshStatuses()
 	}
 	return d, nil
+}
+
+// evaluate is the DCM's evaluation of the updated network (§2.2), region
+// by region. Propagation runs incrementally: equivalent to ResetFeasible
+// plus a full Propagate — feasible subspaces re-derived from scratch so
+// widened bindings never leave stale reductions behind, statuses
+// recomputed — but only for the regions an operation touched (a binding
+// changed, a verification overwrote a status). Anything that leaves the
+// network without a fixpoint to build on (the first run, RollbackTo, a
+// capped run, a structural edit, changed PropOpts) makes the network
+// fall back to the full run by itself. The movement windows of the
+// assigned design variables in the re-derived regions are then
+// refreshed (Fig. 2 shows "consistent values" for already-bound
+// properties after each operation); each refresh explores the network
+// with the variable freed — a large share of ADPM's extra tool runs
+// (§2.2: "additional tool runs are typically performed within ADPM's
+// constraint propagation algorithm").
+//
+// Equivalence contract (TestRegionRefreshMatchesReference): as long as
+// no run is capped, bindings, feasible subspaces and movement windows,
+// constraint statuses and violations after every operation are
+// bit-identical to reset + full propagation + a refresh of every
+// movement window, on any network. A touched region is re-derived with
+// the sub-schedule the full run would give it, so on a single-region
+// network an operation that touches the network runs the identical
+// revise schedule and EvalCount is identical too; on a multi-region
+// network Evaluations, Narrowed and Emptied describe only the
+// re-derived regions. On either, an operation that touches nothing (a
+// decomposition, a verification none of whose tools can run yet) finds
+// nothing to re-derive and spends no evaluations, where the full run
+// recomputed the state it already held. (A cap cuts a region's schedule
+// and the whole network's at different points; a capped run leaves no
+// marker, so the evaluations after it are full ones until one
+// completes.)
+func (d *DPM) evaluate() constraint.PropagateResult {
+	res := d.Net.Propagate(d.incrementalOpts())
+	d.refreshMovementWindows()
+	return res
+}
+
+// incrementalOpts returns PropOpts with the incremental schedule forced
+// on: the DPM mutates its networks only through the Network API, which
+// is what the schedule's dirty tracking requires.
+func (d *DPM) incrementalOpts() constraint.PropagateOptions {
+	opts := d.PropOpts
+	opts.Incremental = true
+	return opts
 }
 
 // SetTracer attaches a trace recorder to the DPM and its live network;
@@ -230,6 +286,12 @@ func (d *DPM) Done() bool {
 // in ADPM mode, recomputes problem statuses, and appends a Transition
 // to the history.
 func (d *DPM) Apply(op Operation) (*Transition, error) {
+	return d.apply(op, (*DPM).evaluate)
+}
+
+// apply is Apply with the ADPM evaluation step passed in (see
+// fromScenario).
+func (d *DPM) apply(op Operation, evaluate func(*DPM) constraint.PropagateResult) (*Transition, error) {
 	prob := d.problems[op.Problem]
 	if prob == nil {
 		return nil, fmt.Errorf("dpm: operation on unknown problem %q", op.Problem)
@@ -294,21 +356,9 @@ func (d *DPM) Apply(op Operation) (*Transition, error) {
 	}
 
 	if d.Mode == ADPM {
-		// The DCM evaluates the updated network: feasible subspaces are
-		// re-derived from scratch so widened bindings never leave stale
-		// reductions behind, then propagation narrows and statuses are
-		// recomputed (§2.2).
-		d.Net.ResetFeasible()
-		res := d.Net.Propagate(d.PropOpts)
+		res := evaluate(d)
 		tr.Narrowed = res.Narrowed
 		tr.Emptied = res.Emptied
-		// Refresh the movement windows of every assigned design
-		// variable (Fig. 2 shows "consistent values" for already-bound
-		// properties after each operation). Each refresh explores the
-		// network with the variable freed — a large share of ADPM's
-		// extra tool runs (§2.2: "additional tool runs are typically
-		// performed within ADPM's constraint propagation algorithm").
-		d.refreshMovementWindows()
 	}
 
 	d.refreshStatuses()
@@ -453,6 +503,12 @@ func (d *DPM) scratchFor(w int) *constraint.Network {
 // constraint evaluations spent. It reads d.Net (CloneInto source) and
 // mutates only scratch, so distinct scratches may run concurrently as
 // long as each was primed via scratchFor first.
+//
+// The copy carries the live network's fixpoint marker, so freeing the
+// variable and propagating incrementally resets and re-derives only the
+// variable's own region (plus any region the live network still has
+// dirty) — the window a whole-network reset would compute, for the
+// evaluations of one region.
 func (d *DPM) movementWindowOn(scratch *constraint.Network, prop string) (domain.Domain, int64) {
 	d.Net.CloneInto(scratch)
 	before := scratch.EvalCount()
@@ -460,18 +516,45 @@ func (d *DPM) movementWindowOn(scratch *constraint.Network, prop string) (domain
 	for _, dep := range d.dependentDerived(prop) {
 		scratch.Unbind(dep)
 	}
-	scratch.ResetFeasible()
-	scratch.Propagate(d.PropOpts)
+	scratch.Propagate(d.incrementalOpts())
 	return scratch.Property(prop).Feasible(), scratch.EvalCount() - before
 }
 
+// windowOutputs returns the properties that can carry a movement
+// window: every numeric, non-derived problem output, once, in problem
+// declaration order. Problems, their outputs and the derived set are
+// fixed once the DPM is built, so the list is computed once.
+func (d *DPM) windowOutputs() []*constraint.Property {
+	if d.outputs != nil {
+		return d.outputs
+	}
+	seen := map[string]bool{}
+	d.outputs = []*constraint.Property{}
+	for _, pn := range d.probOrder {
+		for _, out := range d.problems[pn].Outputs {
+			if seen[out] {
+				continue
+			}
+			seen[out] = true
+			if p := d.Net.Property(out); p != nil && p.IsNumeric() && !d.derivedSet[out] {
+				d.outputs = append(d.outputs, p)
+			}
+		}
+	}
+	return d.outputs
+}
+
 // refreshMovementWindows recomputes the movement window of every bound
-// design variable that is some problem's output and stores it as the
-// variable's feasible subspace.
+// design variable that is some problem's output and whose region the
+// propagation just re-derived, and stores it as the variable's feasible
+// subspace. Every other window is carried over without a second copy to
+// invalidate: it is the feasible subspace the live network already
+// holds, because an incremental run never resets a clean region, and a
+// window depends on nothing outside its variable's region.
 //
 // Windows of distinct variables are independent: each explores a
-// scratch copy of the same post-propagation state with feasible
-// subspaces re-derived from scratch, so neither the window values nor
+// scratch copy of the same post-propagation state with the variable's
+// region re-derived from scratch, so neither the window values nor
 // the evaluation counts depend on the order in which sibling windows
 // are applied. That makes the refresh safe to fan out across
 // GOMAXPROCS workers with per-worker scratch networks; the per-window
@@ -479,21 +562,13 @@ func (d *DPM) movementWindowOn(scratch *constraint.Network, prop string) (domain
 // reduction) so Net.EvalCount() — and every figure metric derived from
 // it — is bit-identical to the sequential refresh.
 func (d *DPM) refreshMovementWindows() {
-	seen := map[string]bool{}
-	var jobs []*constraint.Property
-	for _, pn := range d.probOrder {
-		for _, out := range d.problems[pn].Outputs {
-			if seen[out] {
-				continue
-			}
-			seen[out] = true
-			p := d.Net.Property(out)
-			if p == nil || !p.IsBound() || !p.IsNumeric() || d.derivedSet[out] {
-				continue
-			}
+	jobs := d.jobs[:0]
+	for _, p := range d.windowOutputs() {
+		if p.IsBound() && d.Net.Rederived(p.Name) {
 			jobs = append(jobs, p)
 		}
 	}
+	d.jobs = jobs
 	if len(jobs) == 0 {
 		return
 	}

@@ -87,6 +87,13 @@ func (o Operation) String() string {
 // along with the statistics TeamSim captures per operation (§3.1.2):
 // violations found immediately after execution, constraint evaluations
 // attributable to the operation, and whether it was a design spin.
+//
+// In ADPM mode the DCM re-derives only the connected regions of the
+// constraint network the operation touched (DPM.evaluate), so
+// Evaluations, Narrowed and Emptied are the tool runs spent on, and the
+// subspaces reduced in, those regions. The violation lists are always
+// those of the whole network. On a network that is a single region —
+// every scenario of the paper — the regions touched are the network.
 type Transition struct {
 	// Stage is the history index n of the operation.
 	Stage int
@@ -100,13 +107,16 @@ type Transition struct {
 	ViolationsAfter []string
 	// NewViolations lists violations present after but not before.
 	NewViolations []string
-	// Evaluations counts constraint evaluations due to this operation.
+	// Evaluations counts constraint evaluations due to this operation:
+	// synthesis and verification tool runs, the propagation of the
+	// touched regions, and their movement-window refreshes.
 	Evaluations int64
-	// Narrowed lists properties whose feasible subspace shrank due to
-	// this operation (ADPM mode only).
+	// Narrowed lists properties of the touched regions whose feasible
+	// subspace the re-derivation left below its initial range (ADPM
+	// mode only).
 	Narrowed []string
-	// Emptied lists properties whose feasible subspace became empty due
-	// to this operation (ADPM mode only).
+	// Emptied lists properties of the touched regions whose feasible
+	// subspace the re-derivation left empty (ADPM mode only).
 	Emptied []string
 	// IsSpin marks expensive cross-subsystem iterations.
 	IsSpin bool

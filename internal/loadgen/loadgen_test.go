@@ -159,6 +159,31 @@ func TestHermeticDeterminism(t *testing.T) {
 	}
 }
 
+// TestOracleChecksGeneratedScenario runs a generated-family scenario
+// (sparse:200, many regions) through the server and the oracle. The
+// server echoes the scenario document's name, sparse_200_s1, which no
+// spec resolves: the oracle has to replay from the program's own spec,
+// or it checks nothing. It is also a second, independent sequential
+// check of the DPM's region-scoped evaluation behind the HTTP stack.
+func TestOracleChecksGeneratedScenario(t *testing.T) {
+	w := testWorkload()
+	w.Scenario = "sparse:200"
+	w.Clients = 2
+	w.SessionsPerClient = 1
+	w.DeleteFrac = 0
+	res := runHermetic(t, w, 2, nil)
+	oracle, err := CheckOracle(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !oracle.OK() {
+		t.Fatalf("oracle mismatches: %v", oracle.Mismatches)
+	}
+	if oracle.Checked != len(res.Sessions) || oracle.Checked == 0 {
+		t.Fatalf("oracle checked %d of %d sessions (skipped %d)", oracle.Checked, len(res.Sessions), oracle.Skipped)
+	}
+}
+
 // TestRetryInjectionReplay forces a duplicate send of every keyed
 // batch and checks the duplicates all come back as idempotent replays,
 // invisible to the oracle.

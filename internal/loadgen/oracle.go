@@ -56,7 +56,10 @@ func CheckOracle(res *RunResult) (*OracleResult, error) {
 }
 
 func checkSession(st *SessionTrace) error {
-	scn, err := scenario.ByName(st.Scenario)
+	// Resolve the scenario from the program's own spec: the name the
+	// server echoes is the scenario document's (sparse_200_s1 for the
+	// spec sparse:200), which only the snapshot below carries.
+	scn, err := scenario.ByName(st.Program.Scenario)
 	if err != nil {
 		return err
 	}

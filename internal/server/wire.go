@@ -138,6 +138,14 @@ func WireFromOperation(op dpm.Operation) WireOp {
 }
 
 // TransitionState is one applied operation's delta on the wire.
+//
+// In ADPM mode Evaluations, Narrowed and Emptied describe the regions of
+// the constraint network the operation touched and the DPM therefore
+// re-derived (see dpm.Transition): narrowed lists the properties of
+// those regions whose feasible subspace ends below its declared range,
+// not every narrowed property of the session — GET /state has those. On
+// a network that is one connected region (the paper's scenarios) the
+// two coincide.
 type TransitionState struct {
 	Stage         int      `json:"stage"`
 	Kind          string   `json:"kind"`
