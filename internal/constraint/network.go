@@ -3,6 +3,7 @@ package constraint
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/domain"
 	"repro/internal/expr"
@@ -52,8 +53,10 @@ type Network struct {
 	// it to detect that a destination's structure is still reusable.
 	gen int64
 	// sharedStructure marks the structure tables as shared with a
-	// clone; the next structural mutation copies them first.
-	sharedStructure bool
+	// clone; the next structural mutation copies them first. It is the
+	// one field a clone writes on its source, and many goroutines may
+	// clone one source at once (session templates), so it is atomic.
+	sharedStructure atomic.Bool
 	// cloneSrc/cloneSrcGen identify the network this one was cloned
 	// from and its generation at that time (CloneInto fast path).
 	cloneSrc    *Network
@@ -119,7 +122,7 @@ func NewNetwork() *Network {
 // ensureOwnedStructure copies the shared structure tables before a
 // structural mutation so sibling clones keep their own view.
 func (n *Network) ensureOwnedStructure() {
-	if !n.sharedStructure {
+	if !n.sharedStructure.Load() {
 		return
 	}
 	propIDs := make(map[string]int, len(n.propIDs))
@@ -144,7 +147,7 @@ func (n *Network) ensureOwnedStructure() {
 	}
 	n.conArgs = conArgs
 	n.compiled = append([]expr.Node(nil), n.compiled...)
-	n.sharedStructure = false
+	n.sharedStructure.Store(false)
 }
 
 // AddProperty registers a property. Names must be unique.
@@ -654,8 +657,10 @@ func (n *Network) Clone() *Network {
 // Both paths carry the incremental fixpoint marker and the dirty set
 // across: dst holds n's state verbatim, so an incremental Propagate on
 // dst re-derives exactly the regions it would on n — plus whatever the
-// caller edits on dst first. Concurrent CloneInto calls from one source
-// into distinct, already primed destinations only read the source.
+// caller edits on dst first. Concurrent CloneInto calls from one
+// unchanging source into distinct destinations are safe: the fast path
+// only reads the source, and the slow path's one write on it is the
+// atomic sharedStructure flag.
 func (n *Network) CloneInto(dst *Network) {
 	if dst == n {
 		return
@@ -684,14 +689,14 @@ func (n *Network) CloneInto(dst *Network) {
 
 	// Slow path: rebuild dst's structure from n. Structure tables are
 	// immutable per generation and shared copy-on-write.
-	n.sharedStructure = true
+	n.sharedStructure.Store(true)
 	dst.propIDs = n.propIDs
 	dst.conIDs = n.conIDs
 	dst.conList = n.conList
 	dst.byProp = n.byProp
 	dst.conArgs = n.conArgs
 	dst.compiled = n.compiled
-	dst.sharedStructure = true
+	dst.sharedStructure.Store(true)
 	dst.propList = make([]*Property, len(n.propList))
 	for i, p := range n.propList {
 		dst.propList[i] = p.clone()

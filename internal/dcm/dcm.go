@@ -144,8 +144,7 @@ func BuildView(d *dpm.DPM, designer string) *View {
 	}
 	net := d.Net
 
-	// Collect the designer's problems and their own properties.
-	own := map[string]bool{}      // properties of own problems
+	// Collect the designer's problems.
 	writable := map[string]bool{} // outputs of own problems
 	for _, p := range d.ProblemsOwnedBy(designer) {
 		pi := ProblemInfo{
@@ -155,14 +154,10 @@ func BuildView(d *dpm.DPM, designer string) *View {
 			Constraints: append([]string(nil), p.Constraints...),
 		}
 		for _, o := range p.Outputs {
-			own[o] = true
 			writable[o] = true
 			if prop := net.Property(o); prop != nil && !prop.IsBound() {
 				pi.UnboundOutputs = append(pi.UnboundOutputs, o)
 			}
-		}
-		for _, in := range p.Inputs {
-			own[in] = true
 		}
 		for _, cn := range p.Constraints {
 			c := net.Constraint(cn)
@@ -183,50 +178,7 @@ func BuildView(d *dpm.DPM, designer string) *View {
 		v.Problems = append(v.Problems, pi)
 	}
 
-	// Concern closure: derived-property chains are followed
-	// transitively (a designer whose transistor width feeds LNA_gain
-	// feeds System_gain is concerned with the system gain), then one
-	// hop over ordinary constraints adds co-arguments.
-	concern := map[string]bool{}
-	for name := range own {
-		concern[name] = true
-	}
-	cons := net.Constraints()
-	for changed := true; changed; {
-		changed = false
-		for _, c := range cons {
-			if d.DefConstraint(strings.TrimSuffix(c.Name, ".def")) != c {
-				continue
-			}
-			touches := false
-			for _, a := range c.Args() {
-				if concern[a] {
-					touches = true
-					break
-				}
-			}
-			if !touches {
-				continue
-			}
-			for _, a := range c.Args() {
-				if !concern[a] {
-					concern[a] = true
-					changed = true
-				}
-			}
-		}
-	}
-	relevantCons := map[string]bool{}
-	for name := range concern {
-		for _, c := range net.ConstraintsOn(name) {
-			relevantCons[c.Name] = true
-		}
-	}
-	for cn := range relevantCons {
-		for _, a := range net.Constraint(cn).Args() {
-			concern[a] = true
-		}
-	}
+	concern, relevantCons := Concern(d, designer)
 
 	// Per-property heuristic data.
 	names := make([]string, 0, len(concern))
@@ -322,6 +274,66 @@ func BuildView(d *dpm.DPM, designer string) *View {
 		}
 	}
 	return v
+}
+
+// Concern is the NM's relevance closure for one designer (§2.2): the
+// properties of concern and the relevant constraints. A property is of
+// concern when it is an input or output of one of the designer's
+// problems, lies on a derived-property chain through such a property (a
+// designer whose transistor width feeds LNA_gain feeds System_gain is
+// concerned with the system gain), or appears in a constraint together
+// with one. The relevant constraints are those on the properties of
+// concern before that last co-argument hop — the violations the
+// designer's view reports. The closure is pure structure: it depends on
+// the problem hierarchy and the constraint graph, never on bindings.
+func Concern(d *dpm.DPM, designer string) (props, cons map[string]bool) {
+	net := d.Net
+	props = map[string]bool{}
+	for _, p := range d.ProblemsOwnedBy(designer) {
+		for _, o := range p.Outputs {
+			props[o] = true
+		}
+		for _, in := range p.Inputs {
+			props[in] = true
+		}
+	}
+	all := net.Constraints()
+	for changed := true; changed; {
+		changed = false
+		for _, c := range all {
+			if d.DefConstraint(strings.TrimSuffix(c.Name, ".def")) != c {
+				continue
+			}
+			touches := false
+			for _, a := range c.Args() {
+				if props[a] {
+					touches = true
+					break
+				}
+			}
+			if !touches {
+				continue
+			}
+			for _, a := range c.Args() {
+				if !props[a] {
+					props[a] = true
+					changed = true
+				}
+			}
+		}
+	}
+	cons = map[string]bool{}
+	for name := range props {
+		for _, c := range net.ConstraintsOn(name) {
+			cons[c.Name] = true
+		}
+	}
+	for cn := range cons {
+		for _, a := range net.Constraint(cn).Args() {
+			props[a] = true
+		}
+	}
+	return props, cons
 }
 
 // resynthesize runs a bounded branch-and-prune search for a joint

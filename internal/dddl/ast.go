@@ -155,10 +155,18 @@ func (s *Scenario) Owners() []string {
 
 // Validate cross-checks all references in the scenario.
 func (s *Scenario) Validate() error {
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate returning the constraints it parsed, one per
+// declaration in s.Constraints order, so BuildNetwork need not parse
+// them a second time.
+func (s *Scenario) validate() ([]*constraint.Constraint, error) {
 	props := map[string]*PropertyDecl{}
 	for _, p := range s.Properties {
 		if _, dup := props[p.Name]; dup {
-			return fmt.Errorf("dddl: line %d: duplicate property %q", p.Line, p.Name)
+			return nil, fmt.Errorf("dddl: line %d: duplicate property %q", p.Line, p.Name)
 		}
 		props[p.Name] = p
 	}
@@ -169,92 +177,94 @@ func (s *Scenario) Validate() error {
 			continue
 		}
 		if !p.Domain.IsNumeric() {
-			return fmt.Errorf("dddl: line %d: derived property %q must be numeric", p.Line, p.Name)
+			return nil, fmt.Errorf("dddl: line %d: derived property %q must be numeric", p.Line, p.Name)
 		}
 		node, err := expr.Parse(p.Formula)
 		if err != nil {
-			return fmt.Errorf("dddl: line %d: derived %q: %w", p.Line, p.Name, err)
+			return nil, fmt.Errorf("dddl: line %d: derived %q: %w", p.Line, p.Name, err)
 		}
 		for _, a := range expr.Vars(node) {
 			ap, ok := props[a]
 			if !ok {
-				return fmt.Errorf("dddl: line %d: derived %q references unknown property %q", p.Line, p.Name, a)
+				return nil, fmt.Errorf("dddl: line %d: derived %q references unknown property %q", p.Line, p.Name, a)
 			}
 			if !ap.Domain.IsNumeric() {
-				return fmt.Errorf("dddl: line %d: derived %q references non-numeric property %q", p.Line, p.Name, a)
+				return nil, fmt.Errorf("dddl: line %d: derived %q references non-numeric property %q", p.Line, p.Name, a)
 			}
 			if a == p.Name {
-				return fmt.Errorf("dddl: line %d: derived %q references itself", p.Line, p.Name)
+				return nil, fmt.Errorf("dddl: line %d: derived %q references itself", p.Line, p.Name)
 			}
 		}
 	}
 	if err := s.checkDerivedAcyclic(props); err != nil {
-		return err
+		return nil, err
 	}
 	cons := map[string]*ConstraintDecl{}
+	parsedCons := make([]*constraint.Constraint, 0, len(s.Constraints))
 	for _, c := range s.Constraints {
 		if _, dup := cons[c.Name]; dup {
-			return fmt.Errorf("dddl: line %d: duplicate constraint %q", c.Line, c.Name)
+			return nil, fmt.Errorf("dddl: line %d: duplicate constraint %q", c.Line, c.Name)
 		}
 		cons[c.Name] = c
 		parsed, err := constraint.ParseConstraint(c.Name, c.Src)
 		if err != nil {
-			return fmt.Errorf("dddl: line %d: %w", c.Line, err)
+			return nil, fmt.Errorf("dddl: line %d: %w", c.Line, err)
 		}
+		parsedCons = append(parsedCons, parsed)
 		for _, a := range parsed.Args() {
 			pd, ok := props[a]
 			if !ok {
-				return fmt.Errorf("dddl: line %d: constraint %q references unknown property %q", c.Line, c.Name, a)
+				return nil, fmt.Errorf("dddl: line %d: constraint %q references unknown property %q", c.Line, c.Name, a)
 			}
 			if !pd.Domain.IsNumeric() {
-				return fmt.Errorf("dddl: line %d: constraint %q references non-numeric property %q", c.Line, c.Name, a)
+				return nil, fmt.Errorf("dddl: line %d: constraint %q references non-numeric property %q", c.Line, c.Name, a)
 			}
 		}
 		for mp := range c.Mono {
 			if !parsed.HasArg(mp) {
-				return fmt.Errorf("dddl: constraint %q: monotonic declaration for %q which is not an argument", c.Name, mp)
+				return nil, fmt.Errorf("dddl: constraint %q: monotonic declaration for %q which is not an argument", c.Name, mp)
 			}
 		}
 	}
 	probs := map[string]*ProblemDecl{}
 	for _, p := range s.Problems {
 		if _, dup := probs[p.Name]; dup {
-			return fmt.Errorf("dddl: line %d: duplicate problem %q", p.Line, p.Name)
+			return nil, fmt.Errorf("dddl: line %d: duplicate problem %q", p.Line, p.Name)
 		}
 		probs[p.Name] = p
 		for _, set := range [][]string{p.Inputs, p.Outputs} {
 			for _, prop := range set {
 				if _, ok := props[prop]; !ok {
-					return fmt.Errorf("dddl: line %d: problem %q references unknown property %q", p.Line, p.Name, prop)
+					return nil, fmt.Errorf("dddl: line %d: problem %q references unknown property %q", p.Line, p.Name, prop)
 				}
 			}
 		}
 		for _, cn := range p.Constraints {
 			if _, ok := cons[cn]; !ok {
-				return fmt.Errorf("dddl: line %d: problem %q references unknown constraint %q", p.Line, p.Name, cn)
+				return nil, fmt.Errorf("dddl: line %d: problem %q references unknown constraint %q", p.Line, p.Name, cn)
 			}
 		}
 	}
 	for _, d := range s.Decompositions {
 		if _, ok := probs[d.Parent]; !ok {
-			return fmt.Errorf("dddl: line %d: decomposition of unknown problem %q", d.Line, d.Parent)
+			return nil, fmt.Errorf("dddl: line %d: decomposition of unknown problem %q", d.Line, d.Parent)
 		}
 		for _, c := range d.Children {
 			if _, ok := probs[c]; !ok {
-				return fmt.Errorf("dddl: line %d: decomposition into unknown problem %q", d.Line, c)
+				return nil, fmt.Errorf("dddl: line %d: decomposition into unknown problem %q", d.Line, c)
 			}
 		}
 	}
 	for _, r := range s.Requirements {
 		pd, ok := props[r.Property]
 		if !ok {
-			return fmt.Errorf("dddl: line %d: requirement for unknown property %q", r.Line, r.Property)
+			return nil, fmt.Errorf("dddl: line %d: requirement for unknown property %q", r.Line, r.Property)
 		}
 		if r.Value.IsString() != (pd.Domain.Kind() == domain.DiscreteString) {
-			return fmt.Errorf("dddl: line %d: requirement value kind mismatch for %q", r.Line, r.Property)
+			return nil, fmt.Errorf("dddl: line %d: requirement value kind mismatch for %q", r.Line, r.Property)
 		}
 	}
-	return nil
+	return parsedCons, nil
 }
 
 // checkDerivedAcyclic rejects cyclic derived-property definitions.
@@ -341,7 +351,8 @@ func (s *Scenario) DerivedOrder() []*PropertyDecl {
 // with its monotonicity overrides, every derived property's defining
 // equality, and every requirement bound.
 func (s *Scenario) BuildNetwork() (*constraint.Network, error) {
-	if err := s.Validate(); err != nil {
+	parsed, err := s.validate()
+	if err != nil {
 		return nil, err
 	}
 	net := constraint.NewNetwork()
@@ -365,11 +376,8 @@ func (s *Scenario) BuildNetwork() (*constraint.Network, error) {
 			return nil, err
 		}
 	}
-	for _, cd := range s.Constraints {
-		c, err := constraint.ParseConstraint(cd.Name, cd.Src)
-		if err != nil {
-			return nil, err
-		}
+	for i, cd := range s.Constraints {
+		c := parsed[i]
 		if len(cd.Mono) > 0 {
 			c.MonoOverride = map[string]int{}
 			for k, v := range cd.Mono {

@@ -184,6 +184,32 @@ func fromScenario(scn *dddl.Scenario, mode Mode, evaluate func(*DPM) constraint.
 	return d, nil
 }
 
+// Fork returns an independent copy of the DPM's design state: a
+// Network.Clone (structure tables shared copy-on-write; fixpoint marker,
+// dirty set, region partition and evaluation count carried over) plus a
+// copy of every problem's status. The problem hierarchy and derived
+// definitions are fixed once the DPM is built, so they are shared; a
+// copy of a fixpoint is a fixpoint, so the fork's first operation costs
+// exactly what it would on d. Fork only reads d, so many goroutines may
+// fork one DPM concurrently as long as nothing mutates it. The fork
+// starts at stage 0 with no history, tracer or scratch networks: Fork is
+// meant for a DPM that has executed no operation (a session template).
+func (d *DPM) Fork() *DPM {
+	f := &DPM{
+		Mode:       d.Mode,
+		Net:        d.Net.Clone(),
+		PropOpts:   d.PropOpts,
+		problems:   make(map[string]*Problem, len(d.problems)),
+		probOrder:  d.probOrder,
+		derived:    d.derived,
+		derivedSet: d.derivedSet,
+	}
+	for name, p := range d.problems {
+		f.problems[name] = p.clone()
+	}
+	return f
+}
+
 // evaluate is the DCM's evaluation of the updated network (§2.2), region
 // by region. Propagation runs incrementally: equivalent to ResetFeasible
 // plus a full Propagate — feasible subspaces re-derived from scratch so

@@ -90,13 +90,11 @@ func (p *Problem) HasOutput(prop string) bool {
 	return false
 }
 
-// clone returns a deep copy of the problem.
+// clone returns a copy of the problem with its own status. The
+// declaration lists (inputs, outputs, constraints, children) are shared:
+// they are fixed once the DPM is built.
 func (p *Problem) clone() *Problem {
 	cp := *p
-	cp.Inputs = append([]string(nil), p.Inputs...)
-	cp.Outputs = append([]string(nil), p.Outputs...)
-	cp.Constraints = append([]string(nil), p.Constraints...)
-	cp.Children = append([]string(nil), p.Children...)
 	return &cp
 }
 

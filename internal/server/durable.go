@@ -12,11 +12,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dddl"
 	"repro/internal/dpm"
 	"repro/internal/faultfs"
-	"repro/internal/scenario"
-	"repro/internal/teamsim"
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
@@ -120,18 +117,6 @@ func parseModeString(s string) (dpm.Mode, error) {
 	return dpm.ADPM, fmt.Errorf("unknown mode %q", s)
 }
 
-// resolveImageScenario reparses an image's scenario exactly as it was
-// first resolved: by built-in name, or from the original DDDL source.
-func resolveImageScenario(img *wal.SessionImage) (*dddl.Scenario, error) {
-	if img.Scenario != "" {
-		return scenario.ByName(img.Scenario)
-	}
-	if img.Source != "" {
-		return dddl.ParseString(img.Source)
-	}
-	return nil, fmt.Errorf("image %s has neither scenario name nor source", img.ID)
-}
-
 // encodeOpsWire renders an operation batch in its wire form for the
 // WAL. Values that JSON cannot carry (NaN, infinities) are rejected —
 // the wire layer never produces them, so this guards only programmatic
@@ -219,7 +204,6 @@ func (sh *shard) openShardWAL(dataDir string, policy wal.SyncPolicy, segBytes in
 			maxSeq = info.NextSeq - 1
 		}
 	}
-	now := sh.now()
 	for id, img := range info.Sessions {
 		if img.Moved != "" {
 			// A forwarding tombstone, not a session: the id migrated away
@@ -227,19 +211,8 @@ func (sh *shard) openShardWAL(dataDir string, policy wal.SyncPolicy, segBytes in
 			sh.moved[id] = img.Moved
 			continue
 		}
-		scn, rerr := resolveImageScenario(img)
-		label := ""
-		if rerr == nil {
-			label = scn.Name
-		}
-		sh.parked[id] = &parkedSession{
-			img:      img,
-			scenario: label,
-			sum:      SessionSummary{ID: id, Scenario: label, Mode: img.Mode, Evicted: true},
-			lastUsed: now,
-		}
+		sh.installParked(img)
 	}
-	sh.nParked.Store(int64(len(sh.parked)))
 	sh.nMoved.Store(int64(len(sh.moved)))
 	if sh.rec.Enabled() {
 		sh.rec.Emit(trace.Event{
@@ -372,27 +345,20 @@ func (sh *shard) lookup(id string) (*hostedSession, error) {
 }
 
 // buildFromImage rebuilds a live session from its durable image by
-// deterministic replay. The first tracedBatches batches replay with the
-// tracer detached (their operation events are already in the shard's
-// stream); the rest — all of them after a process restart — emit
-// normally so the stream still reconciles at drain. Loop goroutine
-// only.
+// deterministic replay on a stamp of the image's template. The first
+// tracedBatches batches replay with the tracer detached (their operation
+// events are already in the shard's stream); the rest — all of them
+// after a process restart — emit normally so the stream still
+// reconciles at drain. Loop goroutine only.
 func (sh *shard) buildFromImage(img *wal.SessionImage, tracedBatches int) (*hostedSession, error) {
-	scn, err := resolveImageScenario(img)
+	tmpl, err := sh.templates.forImage(img)
 	if err != nil {
 		return nil, err
 	}
-	mode, err := parseModeString(img.Mode)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := teamsim.NewSession(scn, mode, img.MaxOps, sh.opts.PropOpts)
-	if err != nil {
-		return nil, err
-	}
+	sess := tmpl.NewSession(img.MaxOps)
 	hs := &hostedSession{
 		id:       img.ID,
-		scenario: scn.Name,
+		scenario: tmpl.Scenario().Name,
 		sess:     sess,
 		img:      img,
 		idem:     newIdemCache(sh.opts.IdemCap),

@@ -143,7 +143,9 @@ func cloneDataDir(t *testing.T, src string) string {
 // including arbitrary DDDL source text reaching the parser and network
 // builder — and checks that the server either creates a servable
 // session (201 whose id answers GET state) or rejects cleanly with a
-// 4xx, never panicking or answering 500.
+// 4xx, never panicking or answering 500. A second create of the same
+// scenario (stamped from the template the first one built) must serve
+// byte-identical state, id aside.
 func FuzzCreateSession(f *testing.F) {
 	seeds := []string{
 		`{"scenario":"simplified"}`,
@@ -182,6 +184,27 @@ func FuzzCreateSession(f *testing.F) {
 			h.ServeHTTP(st, httptest.NewRequest("GET", "/sessions/"+c.ID+"/state", nil))
 			if st.Code != http.StatusOK {
 				t.Fatalf("created session %q does not serve state: %d", c.ID, st.Code)
+			}
+
+			// The same request again, minus any client-minted id (which
+			// would now collide).
+			var req CreateRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("201 for a body that does not decode: %v", err)
+			}
+			req.ID = ""
+			again, _ := json.Marshal(req)
+			rr2 := httptest.NewRecorder()
+			h.ServeHTTP(rr2, httptest.NewRequest("POST", "/sessions", bytes.NewReader(again)))
+			if rr2.Code != http.StatusCreated {
+				t.Fatalf("second create answered %d: %s\nbody: %q", rr2.Code, rr2.Body, again)
+			}
+			var c2 CreateResponse
+			if err := json.Unmarshal(rr2.Body.Bytes(), &c2); err != nil {
+				t.Fatalf("201 with unparsable body: %v", err)
+			}
+			if a, b := stateSansID(t, s, c.ID), stateSansID(t, s, c2.ID); !bytes.Equal(a, b) {
+				t.Fatalf("second create of the same scenario differs:\n%s\n%s", a, b)
 			}
 		}
 	})

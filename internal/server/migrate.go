@@ -138,8 +138,7 @@ func (s *Server) CompleteMigrate(id, location string) error {
 		sh.nMoved.Store(int64(len(sh.moved)))
 		sum := p.sum
 		sum.Evicted = true
-		sh.closedSessions = append(sh.closedSessions, sum)
-		sh.totals.add(sum)
+		sh.fold(sum)
 		sh.migrated.Add(1)
 	})
 	if err != nil {
@@ -267,11 +266,13 @@ func prefixOf(resident, incoming []wal.OpsEntry) bool {
 }
 
 // installParked registers an image as a parked session (recovery and
-// adoption share it). Loop goroutine only.
+// adoption share it). Its scenario label comes from the image's
+// template, which the restore on first touch stamps from. Loop goroutine
+// only (or the opener, before the loop starts).
 func (sh *shard) installParked(img *wal.SessionImage) {
 	label := ""
-	if scn, err := resolveImageScenario(img); err == nil {
-		label = scn.Name
+	if t, err := sh.templates.forImage(img); err == nil {
+		label = t.Scenario().Name
 	}
 	sh.parked[img.ID] = &parkedSession{
 		img:      img,

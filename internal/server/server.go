@@ -33,7 +33,6 @@ import (
 	"repro/internal/dpm"
 	"repro/internal/faultfs"
 	"repro/internal/notify"
-	"repro/internal/scenario"
 	"repro/internal/teamsim"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -204,6 +203,8 @@ type Server struct {
 	seq      atomic.Uint64
 	draining atomic.Bool
 	lat      *latencySet
+	// templates is the session-template cache all shards stamp from.
+	templates *templateCache
 
 	// subStop, once closed, ends every SSE stream and rejects new
 	// subscriptions: the drain-aware shutdown signal for the fan-out
@@ -265,6 +266,8 @@ type shard struct {
 	// seqNow reads the server's session-sequence counter; rotation
 	// snapshots record it so the id high-water survives compaction.
 	seqNow func() uint64
+	// templates is the server's session-template cache (shared).
+	templates *templateCache
 
 	mu      sync.Mutex
 	closed  bool
@@ -284,11 +287,14 @@ type shard struct {
 	migrating map[string]*parkedSession
 	// moved maps migrated-away session ids to their forwarding address
 	// (wal.TypeMoved tombstones; survive restarts and snapshots).
-	moved          map[string]string
-	closedSessions []SessionSummary
-	totals         Totals
-	summary        ShardSummary
-	wal            *wal.Log
+	moved map[string]string
+	// retired is the summary of every session the shard retired, in
+	// retirement order, in chunks of retiredChunk (see fold); totals is
+	// their sum.
+	retired [][]SessionSummary
+	totals  Totals
+	summary ShardSummary
+	wal     *wal.Log
 	// segBase is the segment size right after the last rotation (or
 	// open) — i.e. roughly the snapshot's own footprint. Rotation also
 	// waits for the segment to double past it, so a snapshot larger
@@ -365,7 +371,12 @@ func Open(opts Options) (*Server, error) {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = DefaultHeartbeat
 	}
-	s := &Server{opts: opts, lat: newLatencySet(), subStop: make(chan struct{})}
+	s := &Server{
+		opts:      opts,
+		lat:       newLatencySet(),
+		subStop:   make(chan struct{}),
+		templates: newTemplateCache(opts.PropOpts),
+	}
 	durable := opts.DataDir != ""
 	if durable {
 		if err := checkMeta(opts.FS, opts.DataDir, opts.Shards); err != nil {
@@ -384,6 +395,7 @@ func Open(opts Options) (*Server, error) {
 			opts:      &s.opts,
 			rec:       rec,
 			seqNow:    s.seq.Load,
+			templates: s.templates,
 			mailbox:   make(chan task, opts.MailboxSize),
 			quit:      make(chan struct{}),
 			done:      make(chan struct{}),
@@ -556,11 +568,43 @@ func (sh *shard) retire(hs *hostedSession, evicted, deleted bool) SessionSummary
 		Spins:         res.Spins,
 		Notifications: res.Notifications,
 	}
-	sh.closedSessions = append(sh.closedSessions, sum)
-	sh.totals.add(sum)
+	sh.fold(sum)
 	delete(sh.sessions, hs.id)
 	sh.nSessions.Store(int64(len(sh.sessions)))
 	return sum
+}
+
+// retiredChunk is the capacity of one chunk of a shard's retired-session
+// log. The log only grows; chunking it means growth never re-copies the
+// summaries already recorded.
+const retiredChunk = 256
+
+// fold records a retired session's final accounting: appended to the
+// shard's retired log and added to its totals. Every retirement —
+// delete, eviction, drain, migration away, delete of a parked session —
+// goes through here. Loop goroutine only.
+func (sh *shard) fold(sum SessionSummary) {
+	n := len(sh.retired)
+	if n == 0 || len(sh.retired[n-1]) == retiredChunk {
+		sh.retired = append(sh.retired, make([]SessionSummary, 0, retiredChunk))
+		n++
+	}
+	sh.retired[n-1] = append(sh.retired[n-1], sum)
+	sh.totals.add(sum)
+}
+
+// retiredSessions flattens the retired log in retirement order; nil when
+// the shard retired nothing.
+func (sh *shard) retiredSessions() []SessionSummary {
+	n := len(sh.retired)
+	if n == 0 {
+		return nil
+	}
+	out := make([]SessionSummary, 0, (n-1)*retiredChunk+len(sh.retired[n-1]))
+	for _, c := range sh.retired {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // sweepNow evicts every session idle past the timeout. On a durable
@@ -624,15 +668,13 @@ func (sh *shard) finalize() {
 	}
 	sort.Strings(pids)
 	for _, id := range pids {
-		sum := sh.parked[id].sum
-		sh.closedSessions = append(sh.closedSessions, sum)
-		sh.totals.add(sum)
+		sh.fold(sh.parked[id].sum)
 		delete(sh.parked, id)
 	}
 	sh.nParked.Store(0)
 	sh.summary = ShardSummary{
 		Shard:     sh.idx,
-		Sessions:  sh.closedSessions,
+		Sessions:  sh.retiredSessions(),
 		Totals:    sh.totals,
 		Evictions: int(sh.evicted.Load()),
 	}
@@ -732,35 +774,42 @@ func (s *Server) Create(scn *dddl.Scenario, mode dpm.Mode, maxOps int) (*CreateR
 }
 
 // CreateSession builds a session and places it on a shard
-// (round-robin). The expensive construction — network build, initial
-// ADPM propagation — happens on the caller's goroutine; only the WAL
-// create record and the map insert run on the shard loop, so the
-// create is logged before it is acknowledged.
+// (round-robin). A session created by name or from source is stamped
+// from the server's template for that scenario and mode, built on first
+// use; a programmatic scenario is built uncached. Either happens on the
+// caller's goroutine; only the WAL create record and the map insert run
+// on the shard loop, so the create is logged before it is acknowledged.
 func (s *Server) CreateSession(spec CreateSpec) (*CreateResponse, error) {
 	if s.draining.Load() {
 		return nil, ErrDraining
-	}
-	scn := spec.Scenario
-	var err error
-	switch {
-	case scn != nil:
-	case spec.Name != "":
-		if scn, err = scenario.ByName(spec.Name); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-	case spec.Source != "":
-		if scn, err = dddl.ParseString(spec.Source); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-	default:
-		return nil, fmt.Errorf("%w: scenario or source is required", ErrInvalid)
 	}
 	maxOps := spec.MaxOps
 	if maxOps <= 0 || maxOps > s.opts.MaxOps {
 		maxOps = s.opts.MaxOps
 	}
 	mode := spec.Mode
-	sess, err := teamsim.NewSession(scn, mode, maxOps, s.opts.PropOpts)
+	var scn *dddl.Scenario
+	var sess *teamsim.Session
+	var err error
+	if spec.Scenario != nil {
+		// A programmatic scenario has no cache key: build it uncached.
+		scn = spec.Scenario
+		sess, err = teamsim.NewSession(scn, mode, maxOps, s.opts.PropOpts)
+	} else {
+		var tmpl *teamsim.Template
+		switch {
+		case spec.Name != "":
+			tmpl, err = s.templates.byName(spec.Name, mode)
+		case spec.Source != "":
+			tmpl, err = s.templates.bySource(spec.Source, mode)
+		default:
+			return nil, fmt.Errorf("%w: scenario or source is required", ErrInvalid)
+		}
+		if err == nil {
+			scn = tmpl.Scenario()
+			sess = tmpl.NewSession(maxOps)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
@@ -1022,8 +1071,7 @@ func (s *Server) Delete(id string) (*SessionSummary, error) {
 		sum := p.sum
 		sum.Evicted = false
 		sum.Deleted = true
-		sh.closedSessions = append(sh.closedSessions, sum)
-		sh.totals.add(sum)
+		sh.fold(sum)
 		delete(sh.parked, id)
 		sh.nParked.Store(int64(len(sh.parked)))
 		sh.deleted.Add(1)

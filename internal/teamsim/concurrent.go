@@ -21,19 +21,18 @@ func RunConcurrent(cfg Config) (*Result, error) {
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("teamsim: Config.Scenario is required")
 	}
-	maxOps := cfg.maxOps()
-	d, err := dpm.FromScenario(cfg.Scenario, cfg.Mode)
+	sess, err := NewSession(cfg.Scenario, cfg.Mode, cfg.maxOps(), cfg.PropOpts)
 	if err != nil {
 		return nil, err
 	}
-	d.PropOpts = cfg.PropOpts
+	sess.Res.Seed = cfg.Seed
+	d, bus := sess.D, sess.Bus
 
 	master := rand.New(rand.NewSource(cfg.Seed))
 	team, err := buildTeam(cfg, d, master)
 	if err != nil {
 		return nil, err
 	}
-	bus := subscribeTeam(d, team)
 
 	rec := cfg.Tracer
 	d.SetTracer(rec)
@@ -44,12 +43,7 @@ func RunConcurrent(cfg Config) (*Result, error) {
 	}
 
 	srv := &server{
-		sess: &Session{
-			D:      d,
-			Bus:    bus,
-			Res:    &Result{Mode: cfg.Mode, Seed: cfg.Seed},
-			MaxOps: maxOps,
-		},
+		sess:    sess,
 		rec:     rec,
 		reqs:    make(chan request),
 		done:    make(chan struct{}),

@@ -120,18 +120,17 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("teamsim: Config.Scenario is required")
 	}
 	maxOps := cfg.maxOps()
-	d, err := dpm.FromScenario(cfg.Scenario, cfg.Mode)
+	sess, err := NewSession(cfg.Scenario, cfg.Mode, maxOps, cfg.PropOpts)
 	if err != nil {
 		return nil, err
 	}
-	d.PropOpts = cfg.PropOpts
+	d, bus := sess.D, sess.Bus
 
 	master := rand.New(rand.NewSource(cfg.Seed))
 	team, err := buildTeam(cfg, d, master)
 	if err != nil {
 		return nil, err
 	}
-	bus := subscribeTeam(d, team)
 
 	rec := cfg.Tracer
 	d.SetTracer(rec)
@@ -239,16 +238,6 @@ func buildTeam(cfg Config, d *dpm.DPM, master *rand.Rand) ([]*designer.Designer,
 		team[i] = ds
 	}
 	return team, nil
-}
-
-// subscribeTeam registers every designer on the notification bus with
-// the NM relevance filter derived from their current concern set.
-func subscribeTeam(d *dpm.DPM, team []*designer.Designer) *notify.Bus {
-	ids := make([]string, len(team))
-	for i, ds := range team {
-		ids[i] = ds.ID()
-	}
-	return subscribeOwners(d, ids)
 }
 
 func recordTransition(res *Result, tr *dpm.Transition) {

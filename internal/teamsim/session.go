@@ -2,10 +2,8 @@ package teamsim
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/constraint"
-	"repro/internal/dcm"
 	"repro/internal/dddl"
 	"repro/internal/dpm"
 	"repro/internal/notify"
@@ -54,27 +52,16 @@ type Session struct {
 
 // NewSession builds a standalone session from a scenario: a DPM (with
 // initial propagation in ADPM mode), a bus with the NM relevance filter
-// of every problem owner, and a zero Result. maxOps <= 0 selects
-// DefaultMaxOps — the same resolution Config.maxOps applies for the
-// simulation engines.
+// of every problem owner, and a zero Result. It builds a Template and
+// takes the template's own DPM, so a one-off session pays no fork. maxOps
+// <= 0 selects DefaultMaxOps — the same resolution Config.maxOps applies
+// for the simulation engines.
 func NewSession(scn *dddl.Scenario, mode dpm.Mode, maxOps int, opts constraint.PropagateOptions) (*Session, error) {
-	if scn == nil {
-		return nil, fmt.Errorf("teamsim: scenario is required")
-	}
-	if maxOps <= 0 {
-		maxOps = DefaultMaxOps
-	}
-	d, err := dpm.FromScenario(scn, mode)
+	t, err := NewTemplate(scn, mode, opts)
 	if err != nil {
 		return nil, err
 	}
-	d.PropOpts = opts
-	return &Session{
-		D:      d,
-		Bus:    subscribeOwners(d, scn.Owners()),
-		Res:    &Result{Mode: mode},
-		MaxOps: maxOps,
-	}, nil
+	return t.session(t.d, maxOps), nil
 }
 
 // SetTracer attaches a trace recorder to the session's DPM and bus;
@@ -121,29 +108,4 @@ func (s *Session) Exhausted() bool { return s.Res.Operations >= s.MaxOps }
 func (s *Session) Finish() *Result {
 	finishResult(s.Res, s.D)
 	return s.Res
-}
-
-// subscribeOwners registers one bus subscription per owner id with the
-// NM relevance filter derived from the owner's current concern set: the
-// properties visible in their view and the constraints on them. Both
-// the simulation engines (via subscribeTeam) and standalone sessions
-// subscribe through here, so a replayed operation history produces
-// bit-for-bit the same delivery counts as the simulated run.
-func subscribeOwners(d *dpm.DPM, owners []string) *notify.Bus {
-	bus := notify.NewBus()
-	for _, id := range owners {
-		view := dcm.BuildView(d, id)
-		props := map[string]bool{}
-		for name := range view.Props {
-			props[name] = true
-		}
-		cons := map[string]bool{}
-		for name := range props {
-			for _, c := range d.Net.ConstraintsOn(name) {
-				cons[c.Name] = true
-			}
-		}
-		bus.Subscribe(id, notify.PropertyFilter(props, cons))
-	}
-	return bus
 }
