@@ -2,14 +2,10 @@ package adpm
 
 // Size-sweep benchmarks for the propagation engine over the parametric
 // network families in internal/scenario (grid, layers, hub, sparse),
-// N from 10² to 10⁵ properties. Three axes:
+// N from 10² to 10⁵ properties. Two axes:
 //
 //   - BenchmarkPropagateScale: from-scratch fixpoint cost per family
 //     per size — the raw scaling curve.
-//   - BenchmarkPropagateParallel: the round engine on the one-region
-//     grid at Parallelism 1 vs 2 vs GOMAXPROCS. On a multi-core box the
-//     GOMAXPROCS entry is the speedup claim; on a single core it
-//     honestly reports the round engine's coordination overhead.
 //   - BenchmarkPropagateIncremental: per-edit re-propagation on the
 //     many-region sparse family — full ResetFeasible+Propagate after a
 //     single rebinding vs the dirty-region incremental path.
@@ -19,7 +15,6 @@ package adpm
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -36,8 +31,7 @@ func scaleBenchOpts(net *constraint.Network) constraint.PropagateOptions {
 
 // scaleBenchNets caches built networks across sub-benchmarks so the
 // generator and parser run once per (family, size). Benchmarks that
-// mutate the network (parallel options are fine; bindings are not) must
-// build their own copy instead.
+// bind properties must build their own copy instead.
 var scaleBenchNets = map[string]*constraint.Network{}
 
 func scaleBenchNet(b *testing.B, fam string, n int) *constraint.Network {
@@ -85,33 +79,6 @@ func BenchmarkPropagateScale(b *testing.B) {
 				b.ReportMetric(float64(h.Quantile(0.99)), "p99-ns")
 			})
 		}
-	}
-}
-
-// BenchmarkPropagateParallel compares worklist engines on the 10⁴
-// one-region grid: sequential FIFO (p=1) against the deterministic
-// round engine at p=2 and p=GOMAXPROCS.
-func BenchmarkPropagateParallel(b *testing.B) {
-	net := scaleBenchNet(b, "grid", 10000)
-	ps := []int{1, 2}
-	if gmp := runtime.GOMAXPROCS(0); gmp > 2 {
-		ps = append(ps, gmp)
-	}
-	for _, p := range ps {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			opts := scaleBenchOpts(net)
-			opts.Parallelism = p
-			net.ResetFeasible()
-			net.Propagate(opts) // warm scratch (see BenchmarkPropagateScale)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.ResetFeasible()
-				if res := net.Propagate(opts); res.Capped {
-					b.Fatalf("capped at %d revisions", res.Revisions)
-				}
-			}
-		})
 	}
 }
 

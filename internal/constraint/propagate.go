@@ -1,7 +1,6 @@
 package constraint
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/domain"
@@ -45,18 +44,6 @@ type PropagateOptions struct {
 	// shrinking a fixed fraction — so a relative-shrink threshold alone
 	// never converges.
 	MaxVisits int
-	// Parallelism selects the propagation engine. 0 or 1 keeps the
-	// sequential FIFO engine, whose revise schedule — and therefore
-	// every metric — is bit-for-bit what it has always been. Values > 1
-	// select the deterministic round engine (propagate_parallel.go),
-	// which revises independent constraints of one round concurrently
-	// on up to Parallelism goroutines. The round engine's result is a
-	// function of the network alone, not of Parallelism: any two values
-	// > 1 (and > 1 on any GOMAXPROCS) produce identical windows,
-	// statuses, and counters. Its fixpoint can differ from the
-	// sequential engine's within MinShrink tolerance, so the two
-	// engines' runs are not interchangeable mid-session.
-	Parallelism int
 	// Incremental seeds the worklist from the dirty property set instead
 	// of revisiting the whole network. An incremental run owns the
 	// initial reset: Propagate{Incremental: true} is equivalent to
@@ -76,14 +63,6 @@ type PropagateOptions struct {
 	// Only changes made through the Network API are tracked; callers that
 	// mutate Property state directly must not opt in.
 	Incremental bool
-	// Priority orders the worklist by largest expected narrowing first —
-	// a constraint woken by a bigger relative shrink of one of its
-	// arguments is revised earlier — with ties broken by ascending
-	// constraint id for determinism. The default (false) keeps the
-	// insertion-order FIFO schedule that the differential corpus pins.
-	// Priority applies to the sequential engine; the round engine has
-	// its own (round) order.
-	Priority bool
 }
 
 // withDefaults resolves zero fields to the package defaults.
@@ -98,18 +77,6 @@ func (o PropagateOptions) withDefaults() PropagateOptions {
 		o.MaxVisits = DefaultMaxVisits
 	}
 	return o
-}
-
-// samePropagationParams reports whether two resolved option sets produce
-// the same fixpoint semantics, which is what lets an incremental run
-// reuse the previous run's marker. Parallelism collapses to the engine
-// choice: all Parallelism>1 values share one fixpoint.
-func samePropagationParams(a, b PropagateOptions) bool {
-	return a.MaxRevisions == b.MaxRevisions &&
-		a.MinShrink == b.MinShrink &&
-		a.MaxVisits == b.MaxVisits &&
-		a.Priority == b.Priority &&
-		(a.Parallelism > 1) == (b.Parallelism > 1)
 }
 
 // PropagateResult summarizes one propagation run (one execution of the
@@ -131,21 +98,6 @@ type PropagateResult struct {
 	Capped bool
 }
 
-// prioEntry is one max-heap element of the priority worklist.
-type prioEntry struct {
-	pri float64
-	ci  int
-}
-
-// prioLess orders the priority worklist: larger expected narrowing
-// first, ties broken by ascending constraint id.
-func prioLess(a, b prioEntry) bool {
-	if a.pri != b.pri {
-		return a.pri > b.pri
-	}
-	return a.ci < b.ci
-}
-
 // propScratch is the reusable propagation workspace of one network:
 // the int-indexed worklist state and per-property marks that one run
 // of Propagate needs, plus the per-constraint shadow trees for
@@ -154,9 +106,6 @@ func prioLess(a, b prioEntry) bool {
 type propScratch struct {
 	// queue is the constraint-id worklist; head indexes the next pop.
 	queue []int
-	// prio is the max-heap worklist used when PropagateOptions.Priority
-	// is set (same membership discipline as queue, ordered by prioLess).
-	prio []prioEntry
 	// inQueue/visits are per constraint id.
 	inQueue []bool
 	visits  []int
@@ -178,9 +127,6 @@ type propScratch struct {
 	// shadows holds the reusable HC4 forward trees per constraint id;
 	// they persist across runs.
 	shadows []*expr.Shadow
-	// par holds the round engine's extra workspace (propagate_parallel.go),
-	// allocated on first parallel run.
-	par *parScratch
 }
 
 // getScratch returns the network's propagation workspace, grown to the
@@ -196,7 +142,6 @@ func (n *Network) getScratch() *propScratch {
 		sc.queue = make([]int, 0, nc*2)
 	}
 	sc.queue = sc.queue[:0]
-	sc.prio = sc.prio[:0]
 	if len(sc.inQueue) < nc {
 		sc.inQueue = make([]bool, nc)
 		sc.visits = make([]int, nc)
@@ -290,10 +235,11 @@ func (b *propagationBox) SetDomainID(id int, iv interval.Interval) {
 var _ expr.IndexedBox = (*propagationBox)(nil)
 
 // canIncremental reports whether the fixpoint marker lets an
-// incremental run skip regions without dirty properties.
+// incremental run skip regions without dirty properties: the marker
+// must be current and set under the same resolved options.
 func (n *Network) canIncremental(opts PropagateOptions) bool {
 	return n.fixValid && n.fixGen == n.gen && !n.allDirty &&
-		samePropagationParams(opts, n.fixOpts)
+		opts == n.fixOpts
 }
 
 // seedWorklist fills the scratch worklist for one run: every constraint
@@ -386,54 +332,6 @@ func (n *Network) noteFixpoint(opts PropagateOptions, res *PropagateResult) {
 	n.fixOpts = opts
 }
 
-// prioSeed moves the FIFO seeds into the priority heap with infinite
-// priority. Equal priorities with ascending ids already satisfy the
-// heap order, so the copy is the heap.
-func (sc *propScratch) prioSeed() {
-	for _, ci := range sc.queue {
-		sc.prio = append(sc.prio, prioEntry{pri: math.Inf(1), ci: ci})
-	}
-	sc.queue = sc.queue[:0]
-}
-
-// prioPush inserts one entry into the priority heap.
-func (sc *propScratch) prioPush(e prioEntry) {
-	sc.prio = append(sc.prio, e)
-	i := len(sc.prio) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !prioLess(sc.prio[i], sc.prio[p]) {
-			break
-		}
-		sc.prio[i], sc.prio[p] = sc.prio[p], sc.prio[i]
-		i = p
-	}
-}
-
-// prioPop removes and returns the highest-priority constraint id.
-func (sc *propScratch) prioPop() int {
-	top := sc.prio[0].ci
-	last := len(sc.prio) - 1
-	sc.prio[0] = sc.prio[last]
-	sc.prio = sc.prio[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(sc.prio) && prioLess(sc.prio[l], sc.prio[best]) {
-			best = l
-		}
-		if r < len(sc.prio) && prioLess(sc.prio[r], sc.prio[best]) {
-			best = r
-		}
-		if best == i {
-			return top
-		}
-		sc.prio[i], sc.prio[best] = sc.prio[best], sc.prio[i]
-		i = best
-	}
-}
-
 // Propagate runs constraint propagation to a fixpoint: it repeatedly
 // evaluates constraint statuses and narrows feasible subspaces until no
 // domain changes enough to matter (AC-3 over HC4 revises). Violated
@@ -441,23 +339,15 @@ func (sc *propScratch) prioPop() int {
 // violation itself, which the designers resolve by changing bound
 // values (§2.3.3).
 //
-// The worklist, visit counts, and per-property marks live in a
+// The worklist is FIFO, seeded in ascending constraint id order with
+// neighbours re-enqueued in sorted argument order, so the revise
+// schedule — and every count derived from it — is reproducible run to
+// run. The worklist, visit counts, and per-property marks live in a
 // reusable int-indexed workspace owned by the network, so repeated
-// runs perform no steady-state allocation. Options select the engine:
-// the default sequential FIFO, the priority-ordered sequential variant
-// (Priority), the deterministic parallel round engine (Parallelism>1),
-// and dirty-set incremental seeding (Incremental) — see the
-// PropagateOptions fields for the semantics of each.
+// runs perform no steady-state allocation. Incremental selects
+// dirty-set seeding (see PropagateOptions).
 func (n *Network) Propagate(opts PropagateOptions) PropagateResult {
 	opts = opts.withDefaults()
-	if opts.Parallelism > 1 {
-		return n.propagateParallel(opts)
-	}
-	return n.propagateSeq(opts)
-}
-
-// propagateSeq is the sequential engine (FIFO or priority worklist).
-func (n *Network) propagateSeq(opts PropagateOptions) PropagateResult {
 	res := PropagateResult{}
 	startEvals := n.evals
 	tr := n.tracer
@@ -472,31 +362,12 @@ func (n *Network) propagateSeq(opts PropagateOptions) PropagateResult {
 	// duplicates. head indexes the next pop (the queue slice only
 	// grows; popped entries are left behind).
 	n.seedWorklist(sc, opts)
-	usePrio := opts.Priority
-	if usePrio {
-		sc.prioSeed()
-	}
-	head := 0
-
-	for {
-		if usePrio {
-			if len(sc.prio) == 0 {
-				break
-			}
-		} else if head >= len(sc.queue) {
-			break
-		}
+	for head := 0; head < len(sc.queue); head++ {
 		if res.Revisions >= opts.MaxRevisions {
 			res.Capped = true
 			break
 		}
-		var ci int
-		if usePrio {
-			ci = sc.prioPop()
-		} else {
-			ci = sc.queue[head]
-			head++
-		}
+		ci := sc.queue[head]
 		sc.inQueue[ci] = false
 		c := n.conList[ci]
 		sc.visits[ci]++
@@ -577,26 +448,10 @@ func (n *Network) propagateSeq(opts PropagateOptions) PropagateResult {
 			if !significantShrink(sc.pre[aid], p.CurrentInterval(), opts.MinShrink) && !p.feasible.IsEmpty() {
 				continue
 			}
-			var pri float64
-			if usePrio {
-				// The wake strength — the relative shrink of the changed
-				// argument — is the expected-narrowing estimate for the
-				// constraints it wakes.
-				pri = math.Inf(1)
-				if !p.feasible.IsEmpty() {
-					if pw := sc.pre[aid].Width(); pw > 0 {
-						pri = (pw - p.CurrentInterval().Width()) / pw
-					}
-				}
-			}
 			for _, nb := range n.byProp[aid] {
 				if nb != ci && !sc.inQueue[nb] && sc.visits[nb] < opts.MaxVisits {
 					sc.inQueue[nb] = true
-					if usePrio {
-						sc.prioPush(prioEntry{pri: pri, ci: nb})
-					} else {
-						sc.queue = append(sc.queue, nb)
-					}
+					sc.queue = append(sc.queue, nb)
 				}
 			}
 		}

@@ -1,4 +1,4 @@
-// Incremental and parallel propagation tests over generated scale
+// Incremental propagation tests over generated scale
 // networks. These live in an external test package so they can import
 // internal/scenario (which itself depends on internal/constraint).
 package constraint_test
@@ -178,162 +178,34 @@ func TestIncrementalNoDirtyIsFree(t *testing.T) {
 	}
 }
 
-// TestIncrementalPriority: the incremental marker composes with the
-// priority worklist — region re-runs under Priority reproduce the full
-// priority run bit-for-bit.
-func TestIncrementalPriority(t *testing.T) {
-	sn := scenario.MustScale("hub", 600, 3)
-	ref, _ := sn.Scenario.BuildNetwork()
-	inc, _ := sn.Scenario.BuildNetwork()
-	opts := bigBudget(ref)
-	opts.Priority = true
-	incOpts := opts
-	incOpts.Incremental = true
-
-	inc.Propagate(incOpts)
-	ref.ResetFeasible()
-	ref.Propagate(opts)
-	assertStateEqual(t, "priority/initial", ref, inc)
-
-	rng := rand.New(rand.NewSource(7))
-	props := ref.Properties()
-	for step := 0; step < 10; step++ {
-		p := props[rng.Intn(len(props))]
-		iv, _ := p.Init.Interval()
-		v := iv.Lo + rng.Float64()*(iv.Hi-iv.Lo)
-		ref.BindReal(p.Name, v)
-		inc.BindReal(p.Name, v)
-		inc.Propagate(incOpts)
-		ref.ResetFeasible()
-		ref.Propagate(opts)
-		assertStateEqual(t, fmt.Sprintf("priority/step %d", step), ref, inc)
+// ExampleNetwork_Propagate_incremental is the README's scale example: an
+// incremental run leaves a fixpoint marker, so after one edit the next
+// incremental run re-derives only the edited property's region (sparse
+// blocks of 64 properties are separate regions).
+func ExampleNetwork_Propagate_incremental() {
+	sn := scenario.MustScale("sparse", 10000, 1)
+	net, err := sn.Scenario.BuildNetwork()
+	if err != nil {
+		fmt.Println(err)
+		return
 	}
-}
-
-// TestPriorityDeterminism: the priority engine is deterministic
-// run-to-run and keeps the witness point feasible.
-func TestPriorityDeterminism(t *testing.T) {
-	sn := scenario.MustScale("grid", 900, 2)
-	a, _ := sn.Scenario.BuildNetwork()
-	b, _ := sn.Scenario.BuildNetwork()
-	opts := bigBudget(a)
-	opts.Priority = true
-	a.ResetFeasible()
-	ra := a.Propagate(opts)
-	b.ResetFeasible()
-	rb := b.Propagate(opts)
-	if ra.Revisions != rb.Revisions || ra.Evaluations != rb.Evaluations {
-		t.Errorf("priority runs diverge: revisions %d vs %d", ra.Revisions, rb.Revisions)
+	opts := constraint.PropagateOptions{
+		MaxRevisions: 40*net.NumConstraints() + 1000,
+		Incremental:  true,
 	}
-	assertStateEqual(t, "priority-rerun", a, b)
-	if len(ra.Violated) > 0 || len(ra.Emptied) > 0 {
-		t.Errorf("priority run on witness-built net: violated=%d emptied=%d", len(ra.Violated), len(ra.Emptied))
+	first := net.Propagate(opts)
+	if err := net.BindReal("p001234", 3.5); err != nil {
+		fmt.Println(err)
+		return
 	}
-	const eps = 1e-6
-	for _, p := range a.Properties() {
-		w := sn.Witness[p.Name]
-		iv := a.Domain(p.Name)
-		if w < iv.Lo-eps || w > iv.Hi+eps {
-			t.Fatalf("priority: witness %s=%g outside [%v, %v]", p.Name, w, iv.Lo, iv.Hi)
-		}
-	}
-}
-
-// TestParallelDeterminism: the round engine's result is a function of
-// the network alone — identical across Parallelism values > 1 and
-// across repeated runs under live goroutine scheduling.
-func TestParallelDeterminism(t *testing.T) {
-	for _, fam := range []string{"grid", "sparse", "layers"} {
-		t.Run(fam, func(t *testing.T) {
-			sn := scenario.MustScale(fam, 900, 2)
-			type run struct {
-				net *constraint.Network
-				res constraint.PropagateResult
-			}
-			var runs []run
-			for _, par := range []int{2, 3, 8, 2} {
-				net, err := sn.Scenario.BuildNetwork()
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts := bigBudget(net)
-				opts.Parallelism = par
-				net.ResetFeasible()
-				res := net.Propagate(opts)
-				if res.Capped {
-					t.Fatalf("P=%d: capped", par)
-				}
-				runs = append(runs, run{net, res})
-			}
-			for i := 1; i < len(runs); i++ {
-				if runs[i].res.Revisions != runs[0].res.Revisions ||
-					runs[i].res.Evaluations != runs[0].res.Evaluations ||
-					len(runs[i].res.Narrowed) != len(runs[0].res.Narrowed) ||
-					len(runs[i].res.Emptied) != len(runs[0].res.Emptied) ||
-					len(runs[i].res.Violated) != len(runs[0].res.Violated) {
-					t.Errorf("run %d metrics diverge from run 0: revisions %d vs %d, evals %d vs %d",
-						i, runs[i].res.Revisions, runs[0].res.Revisions,
-						runs[i].res.Evaluations, runs[0].res.Evaluations)
-				}
-				assertStateEqual(t, fmt.Sprintf("P-run %d", i), runs[0].net, runs[i].net)
-			}
-			// Witness survives the round engine too.
-			const eps = 1e-6
-			for _, p := range runs[0].net.Properties() {
-				w := sn.Witness[p.Name]
-				iv := runs[0].net.Domain(p.Name)
-				if w < iv.Lo-eps || w > iv.Hi+eps {
-					t.Fatalf("parallel: witness %s=%g outside [%v, %v]", p.Name, w, iv.Lo, iv.Hi)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelIncremental: dirty-region seeding composes with the round
-// engine: an incremental parallel run after an edit matches a fresh
-// full parallel run on an identically mutated network, bit for bit.
-func TestParallelIncremental(t *testing.T) {
-	sn := scenario.MustScale("sparse", 800, 4)
-	inc, _ := sn.Scenario.BuildNetwork()
-	opts := bigBudget(inc)
-	opts.Parallelism = 4
-	opts.Incremental = true
-
-	first := inc.Propagate(opts)
-	if first.Capped {
-		t.Fatal("initial parallel incremental run capped")
-	}
-	props := inc.Properties()
-	rng := rand.New(rand.NewSource(11))
-	for step := 0; step < 8; step++ {
-		p := props[rng.Intn(len(props))]
-		iv, _ := p.Init.Interval()
-		v := iv.Lo + rng.Float64()*(iv.Hi-iv.Lo)
-		inc.BindReal(p.Name, v)
-		stepRes := inc.Propagate(opts)
-		if stepRes.Revisions >= first.Revisions {
-			t.Errorf("step %d: incremental parallel revisions %d not below full %d", step, stepRes.Revisions, first.Revisions)
-		}
-
-		ref, err := sn.Scenario.BuildNetwork()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Replay all bindings performed so far onto the fresh network.
-		for _, q := range props {
-			if v, ok := inc.Property(q.Name).Value(); ok {
-				if err := ref.Bind(q.Name, v); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		refRes := ref.Propagate(opts) // marker invalid: full parallel run
-		if refRes.Capped {
-			t.Fatal("reference parallel run capped")
-		}
-		assertStateEqual(t, fmt.Sprintf("parallel-inc step %d", step), ref, inc)
-	}
+	again := net.Propagate(opts)
+	fmt.Println("fewer revisions:", again.Revisions < first.Revisions)
+	fmt.Println("edited region re-derived:", net.Rederived("p001234"))
+	fmt.Println("other region re-derived:", net.Rederived("p000001"))
+	// Output:
+	// fewer revisions: true
+	// edited region re-derived: true
+	// other region re-derived: false
 }
 
 // TestIncrementalCloneCarriesMarker: a copy of a fixpoint is a fixpoint.

@@ -64,14 +64,26 @@ type DPM struct {
 	// the sequential MovementWindow path. Like the rest of the DPM,
 	// these are not safe for concurrent use of one DPM.
 	scratches []*constraint.Network
-	// outputs caches windowOutputs; jobs is refreshMovementWindows'
-	// reusable selection from it.
+	// outputs caches windowOutputs.
 	outputs []*constraint.Property
-	jobs    []*constraint.Property
+	// refresh is refreshMovementWindows' reusable workspace.
+	refresh windowRefresh
 	// tracer, when non-nil, receives operation and window-refresh
 	// events. SetTracer also attaches it to Net for propagate events;
 	// scratch networks never carry it (Network.CloneInto drops it).
 	tracer *trace.Recorder
+}
+
+// windowRefresh is one DPM's movement-window refresh workspace, reused
+// across operations: the outputs selected for this refresh, their
+// windows and evaluation counts by job index, and the job counter and
+// wait group of the workers that fill them.
+type windowRefresh struct {
+	jobs  []*constraint.Property
+	wins  []domain.Domain
+	evals []int64
+	next  atomic.Int64
+	wg    sync.WaitGroup
 }
 
 // derivedDef is one derived performance property: value = node(args).
@@ -583,19 +595,23 @@ func (d *DPM) windowOutputs() []*constraint.Property {
 // region re-derived from scratch, so neither the window values nor
 // the evaluation counts depend on the order in which sibling windows
 // are applied. That makes the refresh safe to fan out across
-// GOMAXPROCS workers with per-worker scratch networks; the per-window
-// evaluation counts are summed in window order afterwards (ordered
-// reduction) so Net.EvalCount() — and every figure metric derived from
-// it — is bit-identical to the sequential refresh.
+// min(GOMAXPROCS, jobs) workers with per-worker scratch networks, the
+// caller being worker 0; the per-window evaluation counts are summed in
+// window order afterwards (ordered reduction) so Net.EvalCount() — and
+// every figure metric derived from it — is identical for every worker
+// count. The fan-out pays even on a one-region network: forcing the
+// refresh serial made dpm.apply_small_us (receiver) 25–35 % slower on
+// a 2-vCPU box.
 func (d *DPM) refreshMovementWindows() {
-	jobs := d.jobs[:0]
+	r := &d.refresh
+	r.jobs = r.jobs[:0]
 	for _, p := range d.windowOutputs() {
 		if p.IsBound() && d.Net.Rederived(p.Name) {
-			jobs = append(jobs, p)
+			r.jobs = append(r.jobs, p)
 		}
 	}
-	d.jobs = jobs
-	if len(jobs) == 0 {
+	n := len(r.jobs)
+	if n == 0 {
 		return
 	}
 	rec := d.tracer
@@ -603,64 +619,59 @@ func (d *DPM) refreshMovementWindows() {
 	if rec.Enabled() {
 		refreshStart = rec.Now()
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if cap(r.wins) < n {
+		r.wins = make([]domain.Domain, n)
+		r.evals = make([]int64, n)
 	}
-	if workers <= 1 {
-		scratch := d.scratchFor(0)
-		for _, p := range jobs {
-			win, evals := d.movementWindowOn(scratch, p.Name)
-			d.Net.AddEvals(evals)
-			p.SetFeasible(win)
-			totalEvals += evals
-			if rec.FullDetail() {
-				rec.Emit(trace.Event{Kind: trace.KindWindow, Name: p.Name, Evals: evals})
-			}
-		}
-	} else {
-		wins := make([]domain.Domain, len(jobs))
-		evals := make([]int64, len(jobs))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			// Prime sequentially: the first CloneInto of a fresh scratch
-			// takes the structure-sharing slow path, which writes clone
-			// bookkeeping on d.Net; inside the workers every CloneInto hits
-			// the read-only fast path.
-			scratch := d.scratchFor(w)
-			wg.Add(1)
-			go func(scratch *constraint.Network) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					wins[i], evals[i] = d.movementWindowOn(scratch, jobs[i].Name)
-				}
-			}(scratch)
-		}
-		wg.Wait()
-		// Ordered reduction; per-window trace events are emitted here on
-		// the caller's goroutine, in window order, never from the workers.
-		for i, p := range jobs {
-			d.Net.AddEvals(evals[i])
-			p.SetFeasible(wins[i])
-			totalEvals += evals[i]
-			if rec.FullDetail() {
-				rec.Emit(trace.Event{Kind: trace.KindWindow, Name: p.Name, Evals: evals[i]})
-			}
+	r.wins, r.evals = r.wins[:n], r.evals[:n]
+	workers := min(runtime.GOMAXPROCS(0), n)
+	// Prime every scratch before any worker starts: the first CloneInto
+	// of a fresh scratch takes the structure-sharing slow path; inside
+	// the workers every CloneInto hits the read-only fast path.
+	for w := 0; w < workers; w++ {
+		d.scratchFor(w)
+	}
+	r.next.Store(0)
+	for w := 1; w < workers; w++ {
+		r.wg.Add(1)
+		go func(scratch *constraint.Network) {
+			defer r.wg.Done()
+			d.refreshWorker(scratch)
+		}(d.scratches[w])
+	}
+	d.refreshWorker(d.scratches[0])
+	r.wg.Wait()
+	// Ordered reduction; per-window trace events are emitted here on the
+	// caller's goroutine, in window order, never from the workers.
+	for i, p := range r.jobs {
+		d.Net.AddEvals(r.evals[i])
+		p.SetFeasible(r.wins[i])
+		totalEvals += r.evals[i]
+		if rec.FullDetail() {
+			rec.Emit(trace.Event{Kind: trace.KindWindow, Name: p.Name, Evals: r.evals[i]})
 		}
 	}
 	if rec.Enabled() {
 		rec.Emit(trace.Event{
 			Kind:     trace.KindWindowRefresh,
-			Jobs:     len(jobs),
+			Jobs:     n,
 			Workers:  workers,
 			Evals:    totalEvals,
 			DurNanos: rec.Now() - refreshStart,
 		})
+	}
+}
+
+// refreshWorker computes movement windows on scratch, claiming the
+// refresh's jobs one at a time until none is left.
+func (d *DPM) refreshWorker(scratch *constraint.Network) {
+	r := &d.refresh
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= len(r.jobs) {
+			return
+		}
+		r.wins[i], r.evals[i] = d.movementWindowOn(scratch, r.jobs[i].Name)
 	}
 }
 

@@ -348,16 +348,22 @@ func TestRegionRefreshFallbacks(t *testing.T) {
 	})
 }
 
-// TestRegionRefreshWorkers runs the multi-worker refresh — workers read
-// the live network's fixpoint marker and dirty set inside CloneInto —
-// and checks it against the reference; run it under -race.
+// TestRegionRefreshWorkers runs the refresh with the caller as its only
+// worker (GOMAXPROCS 1) and beside three more (GOMAXPROCS 4) — workers
+// read the live network's fixpoint marker and dirty set inside
+// CloneInto — and checks both against the reference; run it under -race.
 func TestRegionRefreshWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, spec := range []struct {
-		family string
-		n      int
-	}{{"sparse", 200}, {"grid", 100}} {
-		sn := scenario.MustScale(spec.family, spec.n, 2)
-		newPair(t, sn.Scenario).replay(sn.Ops[:40])
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, spec := range []struct {
+			family string
+			n      int
+		}{{"sparse", 200}, {"grid", 100}} {
+			t.Run(fmt.Sprintf("procs=%d/%s:%d", procs, spec.family, spec.n), func(t *testing.T) {
+				sn := scenario.MustScale(spec.family, spec.n, 2)
+				newPair(t, sn.Scenario).replay(sn.Ops[:40])
+			})
+		}
 	}
 }

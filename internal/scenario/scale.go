@@ -26,8 +26,7 @@ import (
 //
 //   - grid: an approximately √n×√n 4-neighbour mesh of inequality
 //     constraints — one giant region with large diameter, the
-//     worst case for incremental skipping and the showcase for the
-//     parallel round engine.
+//     worst case for incremental skipping.
 //   - layers: a layered DAG of witness-exact derived equalities
 //     (each node a convex combination of two previous-layer nodes) —
 //     deep narrowing cascades, the MaxVisits stress.

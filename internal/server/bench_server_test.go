@@ -9,9 +9,10 @@ import (
 
 // BenchmarkApply measures the per-batch cost of the accepted-op path:
 // purely in-memory, and durable under each fsync policy. The deltas
-// against "memory" are the WAL overhead recorded in BENCH_server.json —
-// framing+CRC for never, group commit for interval, one fsync per ack
-// for always.
+// against "memory" are the WAL overhead — framing+CRC for never, group
+// commit for interval, one fsync per ack for always — that the
+// benchmark's serve-durable workload tracks end to end as the wal.*
+// per-layer metrics (wal.write_us, wal.fsync_us, wal.fsyncs_per_op).
 func BenchmarkApply(b *testing.B) {
 	cases := []struct {
 		name string
@@ -57,8 +58,9 @@ func BenchmarkApply(b *testing.B) {
 // unchanged session (every read after the first serves the
 // generation-keyed bytes — zero serialization), "uncached" interleaves
 // a mutation before each read so every read re-walks and re-serializes
-// the full design state. The ratio is the snapshot cache's win,
-// recorded in BENCH_server.json.
+// the full design state. The ratio is the snapshot cache's win; the
+// benchmark tracks the served read path as server.state_hit_us,
+// server.state_miss_us and server.state_hit_frac.
 func BenchmarkState(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		s, err := Open(Options{Shards: 1, MaxOps: 1 << 30})

@@ -95,8 +95,6 @@ type Options struct {
 	IdleTimeout time.Duration
 	// SweepEvery is the eviction sweep period; 0 means IdleTimeout/4.
 	SweepEvery time.Duration
-	// PropOpts tunes ADPM propagation for hosted sessions.
-	PropOpts constraint.PropagateOptions
 	// ShardRecorder, when non-nil, supplies one trace recorder per
 	// shard. The shard emits a run-start per created session, per-op
 	// events via the engine instrumentation, an evict event per
@@ -375,7 +373,7 @@ func Open(opts Options) (*Server, error) {
 		opts:      opts,
 		lat:       newLatencySet(),
 		subStop:   make(chan struct{}),
-		templates: newTemplateCache(opts.PropOpts),
+		templates: newTemplateCache(),
 	}
 	durable := opts.DataDir != ""
 	if durable {
@@ -794,7 +792,7 @@ func (s *Server) CreateSession(spec CreateSpec) (*CreateResponse, error) {
 	if spec.Scenario != nil {
 		// A programmatic scenario has no cache key: build it uncached.
 		scn = spec.Scenario
-		sess, err = teamsim.NewSession(scn, mode, maxOps, s.opts.PropOpts)
+		sess, err = teamsim.NewSession(scn, mode, maxOps, constraint.PropagateOptions{})
 	} else {
 		var tmpl *teamsim.Template
 		switch {

@@ -436,7 +436,7 @@ func TestTemplateCacheBound(t *testing.T) {
 // single build; a build that panics is not cached, its waiters get an
 // error, and the next caller builds again.
 func TestTemplateBuildOnceAndPanic(t *testing.T) {
-	c := newTemplateCache(constraint.PropagateOptions{})
+	c := newTemplateCache()
 	key := templateKey{name: "simplified", mode: dpm.ADPM}
 	var builds atomic.Int32
 	release := make(chan struct{})

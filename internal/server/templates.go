@@ -30,8 +30,7 @@ const templateCap = 32
 var errTemplatePanic = errors.New("server: template build panicked")
 
 // templateKey identifies a template: a built-in scenario name, or the
-// SHA-256 of a DDDL source, plus the transition mode. The server's
-// PropOpts are fixed for its lifetime, so they are not part of the key.
+// SHA-256 of a DDDL source, plus the transition mode.
 type templateKey struct {
 	name string
 	src  [sha256.Size]byte
@@ -53,15 +52,13 @@ type templateEntry struct {
 // concurrent caller for the same key waits for that build. A build that
 // fails or panics is not cached.
 type templateCache struct {
-	opts constraint.PropagateOptions
-
 	mu      sync.Mutex
 	entries map[templateKey]*templateEntry
 	clock   uint64
 }
 
-func newTemplateCache(opts constraint.PropagateOptions) *templateCache {
-	return &templateCache{opts: opts, entries: map[templateKey]*templateEntry{}}
+func newTemplateCache() *templateCache {
+	return &templateCache{entries: map[templateKey]*templateEntry{}}
 }
 
 // byName returns the template of a built-in scenario.
@@ -134,7 +131,7 @@ func (c *templateCache) get(key templateKey, parse func() (*dddl.Scenario, error
 		e.err = err
 		return nil, err
 	}
-	e.t, e.err = teamsim.NewTemplate(scn, key.mode, c.opts)
+	e.t, e.err = teamsim.NewTemplate(scn, key.mode, constraint.PropagateOptions{})
 	return e.t, e.err
 }
 
