@@ -171,9 +171,6 @@ func MustParseConstraint(name, src string) *Constraint {
 // a_i vector).
 func (c *Constraint) Args() []string { return c.args }
 
-// Arity returns the number of distinct argument properties.
-func (c *Constraint) Arity() int { return len(c.args) }
-
 // HasArg reports whether the named property is an argument of c.
 func (c *Constraint) HasArg(name string) bool {
 	for _, a := range c.args {

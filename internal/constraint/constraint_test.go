@@ -40,9 +40,6 @@ func TestParseConstraint(t *testing.T) {
 	if got := c.String(); got != "power: Pf + Ps <= PM" {
 		t.Errorf("String = %q", got)
 	}
-	if c.Arity() != 3 {
-		t.Errorf("Arity = %d", c.Arity())
-	}
 
 	if _, err := ParseConstraint("bad", "x + y"); err == nil {
 		t.Error("constraint without relation should fail")

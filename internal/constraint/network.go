@@ -82,7 +82,7 @@ type Network struct {
 	// Dirty-set tracking for incremental re-propagation. dirty/dirtyList
 	// record properties whose region must be re-derived: a binding
 	// changed through the Network API, or a constraint status on them was
-	// written outside propagation (SetStatus, EvaluateStatus), since the
+	// written outside propagation (SetStatus), since the
 	// last fixpoint marker; allDirty subsumes the list after a bulk
 	// change (ResetFeasible, Restore, EvaluateAll). fixValid marks that
 	// the current feasible subspaces are the fixpoint of a full
@@ -502,26 +502,6 @@ func (n *Network) Value(name string) (float64, bool) {
 		return 0, false
 	}
 	return p.bound.Num(), true
-}
-
-// EvaluateStatus computes and records the status of a single constraint
-// from the current property state, incrementing the evaluation counter.
-// Like SetStatus it marks the constraint's region dirty.
-func (n *Network) EvaluateStatus(c *Constraint) Status {
-	n.evals++
-	var s Status
-	if ci, ok := n.conIDs[c.Name]; ok {
-		if n.conList[ci] == c {
-			s = statusFromDiff(expr.EvalInterval(n.compiled[ci], n), c.Rel)
-		} else {
-			s = c.StatusOver(n)
-		}
-		n.status[ci] = s
-		n.markConstraintDirty(ci)
-	} else {
-		s = c.StatusOver(n)
-	}
-	return s
 }
 
 // EvaluateAll computes and records the status of every constraint (one

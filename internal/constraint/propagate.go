@@ -51,7 +51,7 @@ type PropagateOptions struct {
 	// bit-identical windows and statuses — but only resets and revisits
 	// the regions (regions.go) containing a property whose binding
 	// changed — or a constraint status was written outside propagation
-	// (SetStatus, EvaluateStatus) — since the last incremental fixpoint.
+	// (SetStatus) — since the last incremental fixpoint.
 	// Structural edits, Restore, ResetFeasible, EvaluateAll, a capped
 	// run, or changed options all invalidate the fixpoint marker and
 	// force the next incremental run to fall back to the full
@@ -505,13 +505,4 @@ func significantShrink(pre, post interval.Interval, minShrink float64) bool {
 		return false
 	}
 	return (pw - post.Width()) > minShrink*pw
-}
-
-// FeasibleValue reports whether v lies in prop's feasible subspace.
-func (n *Network) FeasibleValue(prop string, v domain.Value) bool {
-	p := n.Property(prop)
-	if p == nil {
-		return false
-	}
-	return p.feasible.Contains(v)
 }

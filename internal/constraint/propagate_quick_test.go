@@ -127,25 +127,3 @@ func TestQuickPropagationPreservesWitness(t *testing.T) {
 		}
 	}
 }
-
-// TestQuickBoundWindowContainsWitness: the movement window of a bound
-// property must contain the witness value when every other property
-// sits at the witness.
-func TestQuickBoundWindowContainsWitness(t *testing.T) {
-	rng := rand.New(rand.NewSource(271828))
-	for trial := 0; trial < 40; trial++ {
-		net, witness := buildRandomSatNet(rng, 3+rng.Intn(2), 2+rng.Intn(3))
-		for name, w := range witness {
-			if err := net.BindReal(name, w); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for name, w := range witness {
-			win, _ := net.BoundWindow(name)
-			if !win.Contains(w) {
-				t.Fatalf("trial %d: window of %s = %v excludes its own witness %v",
-					trial, name, win, w)
-			}
-		}
-	}
-}

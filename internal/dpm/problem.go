@@ -62,9 +62,6 @@ type Problem struct {
 	everSolved bool
 }
 
-// EverSolved reports whether the problem has ever reached Solved.
-func (p *Problem) EverSolved() bool { return p.everSolved }
-
 // Status returns the problem's current status.
 func (p *Problem) Status() ProblemStatus { return p.status }
 
@@ -79,16 +76,6 @@ func (p *Problem) SetStatus(s ProblemStatus) {
 
 // IsLeaf reports whether the problem has no subproblems.
 func (p *Problem) IsLeaf() bool { return len(p.Children) == 0 }
-
-// HasOutput reports whether prop is one of the problem's outputs.
-func (p *Problem) HasOutput(prop string) bool {
-	for _, o := range p.Outputs {
-		if o == prop {
-			return true
-		}
-	}
-	return false
-}
 
 // clone returns a copy of the problem with its own status. The
 // declaration lists (inputs, outputs, constraints, children) are shared:

@@ -247,15 +247,15 @@ func TestRegionRefreshFallbacks(t *testing.T) {
 	}
 
 	t.Run("rollback", func(t *testing.T) {
+		// Restore rewinds to an earlier state and drops the fixpoint
+		// marker, so the next evaluation is a full one.
 		p := start(t)
-		p.got.EnableRollback()
-		p.ref.EnableRollback()
-		p.replay(pre)
-		for _, d := range []*dpm.DPM{p.got, p.ref} {
-			if err := d.RollbackTo(len(pre) / 2); err != nil {
-				t.Fatal(err)
-			}
-		}
+		mid := len(pre) / 2
+		p.replay(pre[:mid])
+		gotSnap, refSnap := p.got.Net.Snapshot(), p.ref.Net.Snapshot()
+		p.replay(pre[mid:])
+		p.got.Net.Restore(gotSnap)
+		p.ref.Net.Restore(refSnap)
 		p.compareState("after rollback")
 		p.replay(post)
 	})

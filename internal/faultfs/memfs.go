@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -203,17 +202,6 @@ func (m *MemFS) Clone() *MemFS {
 	return cp
 }
 
-// CopyFrom replaces this filesystem's contents with a deep copy of
-// src's — restoring a Clone in place, so handles to the MemFS identity
-// (a server's Options.FS) keep working across a checker backtrack.
-func (m *MemFS) CopyFrom(src *MemFS) {
-	snap := src.Clone()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.files = snap.files
-	m.dirs = snap.dirs
-}
-
 // Fingerprint returns a canonical digest of the full filesystem state —
 // volatile and durable content, pending creations and removals — for
 // explicit-state deduplication.
@@ -239,24 +227,6 @@ func (m *MemFS) Fingerprint() [sha256.Size]byte {
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
-}
-
-// Dump renders a human-readable listing (tests and failure reports).
-func (m *MemFS) Dump() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.files))
-	for name := range m.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		f := m.files[name]
-		fmt.Fprintf(&b, "%s: %d bytes (%d durable) created=%v removed=%v\n",
-			name, len(f.data), f.durable, f.created, f.removed)
-	}
-	return b.String()
 }
 
 // memHandle is one open-file handle.

@@ -140,11 +140,6 @@ func TestMemFSReadDirAndFingerprint(t *testing.T) {
 	if fp2 := cp.Fingerprint(); fp1 == fp2 {
 		t.Fatal("fingerprint blind to content change")
 	}
-	// CopyFrom restores in place, preserving the MemFS identity.
-	cp.CopyFrom(m)
-	if fp2 := cp.Fingerprint(); fp1 != fp2 {
-		t.Fatal("CopyFrom did not restore the fingerprint")
-	}
 }
 
 func TestMemFSTruncateCapsDurable(t *testing.T) {

@@ -161,13 +161,6 @@ func (b *Bus) Publish(e Event) int {
 	return n
 }
 
-// PublishAll publishes a batch of events.
-func (b *Bus) PublishAll(events []Event) {
-	for _, e := range events {
-		b.Publish(e)
-	}
-}
-
 // Drain returns and clears the subscriber's queued events.
 func (b *Bus) Drain(id string) []Event {
 	evs := b.queue[id]

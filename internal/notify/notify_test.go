@@ -226,15 +226,3 @@ func TestBusTraceDeliveries(t *testing.T) {
 		t.Errorf("first notify trace event = %+v", evs[0])
 	}
 }
-
-func TestPublishAll(t *testing.T) {
-	b := NewBus()
-	b.Subscribe("a", nil)
-	b.PublishAll([]Event{
-		{Kind: ViolationDetected, Constraint: "x"},
-		{Kind: SubspaceReduced, Property: "y"},
-	})
-	if b.Pending("a") != 2 {
-		t.Errorf("pending = %d", b.Pending("a"))
-	}
-}

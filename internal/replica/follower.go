@@ -587,6 +587,3 @@ func (f *Follower) Sessions(shard int) map[string]*wal.SessionImage {
 
 // Dir returns the follower's data directory.
 func (f *Follower) Dir() string { return f.opts.Dir }
-
-// ShardCount returns the follower's shard count.
-func (f *Follower) ShardCount() int { return len(f.shards) }

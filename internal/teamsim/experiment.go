@@ -110,15 +110,6 @@ func (m *MultiResult) SpinsSamples() []float64 {
 	return out
 }
 
-// EvalsSamples returns the per-run evaluation totals as floats.
-func (m *MultiResult) EvalsSamples() []float64 {
-	out := make([]float64, len(m.Results))
-	for i, r := range m.Results {
-		out[i] = float64(r.Evaluations)
-	}
-	return out
-}
-
 // OpsRatioCI bootstraps a confidence interval for the conventional/ADPM
 // operations ratio.
 func (c *Comparison) OpsRatioCI(level float64) stats.CI {
