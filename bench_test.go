@@ -273,16 +273,39 @@ func BenchmarkMovementWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildView measures the DCM's heuristic-data mining step.
+// BenchmarkBuildView measures the DCM's heuristic-data mining step: the
+// receiver's circuit designer, in both modes, on the initial state and
+// halfway through a corpus history (receiver, seed 1), where bindings
+// and known violations make the view do its full work. Conventional
+// views dominate the corpus's run time.
 func BenchmarkBuildView(b *testing.B) {
-	b.ReportAllocs()
-	proc, err := NewProcess(Receiver(), ModeADPM)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dcm.BuildView(proc, "circuit")
+	for _, mode := range []dpm.Mode{ModeConventional, ModeADPM} {
+		res, err := Run(Config{Scenario: Receiver(), Mode: mode, Seed: 1, MaxOps: 3000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		hist := res.Process.History()
+		for _, stage := range []struct {
+			name string
+			ops  int
+		}{{"stage0", 0}, {"midrun", len(hist) / 2}} {
+			b.Run(mode.String()+"/"+stage.name, func(b *testing.B) {
+				b.ReportAllocs()
+				proc, err := NewProcess(Receiver(), mode)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, tr := range hist[:stage.ops] {
+					if _, err := proc.Apply(tr.Op); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dcm.BuildView(proc, "circuit")
+				}
+			})
+		}
 	}
 }
 

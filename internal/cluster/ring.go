@@ -116,6 +116,3 @@ func (r *Ring) Owner(key string) string {
 	}
 	return r.pairs[r.points[i].pair]
 }
-
-// Pairs returns the member pair names (construction order).
-func (r *Ring) Pairs() []string { return append([]string(nil), r.pairs...) }

@@ -314,18 +314,8 @@ func (c *Constraint) Narrow(box expr.Box) expr.NarrowResult {
 // when unknown. Explicit MonoOverride entries are interpreted as "the
 // direction that helps satisfy" and converted to a difference sign.
 func (c *Constraint) MonotoneSign(prop string, env expr.IntervalEnv) int {
-	if dir, ok := c.MonoOverride[prop]; ok {
-		// dir is the helpful direction for satisfaction. For <=-like
-		// relations satisfaction means pushing the difference down, so a
-		// helpful increase (+1) implies the difference decreases (-1).
-		switch c.Rel {
-		case LE, LT:
-			return -dir
-		case GE, GT:
-			return dir
-		default:
-			return 0
-		}
+	if sign, ok := c.overrideSign(prop); ok {
+		return sign
 	}
 	d, isArg := c.derivs[prop]
 	if !isArg {
@@ -333,6 +323,32 @@ func (c *Constraint) MonotoneSign(prop string, env expr.IntervalEnv) int {
 		// to the generic path, which handles both cases.
 		return expr.MonotoneSign(c.diff, prop, env)
 	}
+	return derivativeSign(d, env)
+}
+
+// overrideSign converts a MonoOverride entry for prop, if any, to a
+// difference sign.
+func (c *Constraint) overrideSign(prop string) (int, bool) {
+	dir, ok := c.MonoOverride[prop]
+	if !ok {
+		return 0, false
+	}
+	// dir is the helpful direction for satisfaction. For <=-like
+	// relations satisfaction means pushing the difference down, so a
+	// helpful increase (+1) implies the difference decreases (-1).
+	switch c.Rel {
+	case LE, LT:
+		return -dir, true
+	case GE, GT:
+		return dir, true
+	default:
+		return 0, true
+	}
+}
+
+// derivativeSign is the sign of the derivative tree d over env, 0 when d
+// is nil (not expressible) or its enclosure straddles zero.
+func derivativeSign(d expr.Node, env expr.IntervalEnv) int {
 	if d == nil {
 		return 0
 	}
@@ -355,7 +371,13 @@ func (c *Constraint) MonotoneSign(prop string, env expr.IntervalEnv) int {
 // equalities it additionally depends on the current sign of Lhs-Rhs,
 // supplied through env's midpoint.
 func (c *Constraint) FixDirection(prop string, env expr.IntervalEnv) int {
-	sign := c.MonotoneSign(prop, env)
+	return c.FixDirectionForSign(c.MonotoneSign(prop, env), env)
+}
+
+// FixDirectionForSign is FixDirection for an argument whose monotone
+// sign (MonotoneSign's result over the same env) is already known, so a
+// caller that memoizes signs does not evaluate the derivative again.
+func (c *Constraint) FixDirectionForSign(sign int, env expr.IntervalEnv) int {
 	if sign == 0 {
 		return 0
 	}

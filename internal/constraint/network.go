@@ -193,16 +193,40 @@ func (n *Network) AddConstraint(c *Constraint) error {
 	n.conIDs[c.Name] = ci
 	n.conList = append(n.conList, c)
 	n.conArgs = append(n.conArgs, argIDs)
-	n.compiled = append(n.compiled, expr.Compile(c.diff, func(name string) (int, bool) {
-		id, ok := n.propIDs[name]
-		return id, ok
-	}))
+	n.compiled = append(n.compiled, expr.Compile(c.diff, n.lookupProp))
 	for _, pid := range argIDs {
 		n.byProp[pid] = append(n.byProp[pid], ci)
 	}
 	n.status = append(n.status, Consistent)
 	n.gen++
 	return nil
+}
+
+// lookupProp resolves a property name to its dense id (expr.Compile).
+func (n *Network) lookupProp(name string) (int, bool) {
+	id, ok := n.propIDs[name]
+	return id, ok
+}
+
+// MonotoneSignFunc returns a function reporting c.MonotoneSign(prop, n)
+// over n's current state. The derivative is compiled against n's
+// property ids on this call, so each evaluation skips the name lookups
+// MonotoneSign makes — view building evaluates the sign of every
+// constraint on every property of concern per view. c must be a
+// constraint of n, and the function is valid while n's structure is
+// unchanged.
+func (n *Network) MonotoneSignFunc(c *Constraint, prop string) func() int {
+	if sign, ok := c.overrideSign(prop); ok {
+		return func() int { return sign }
+	}
+	d, isArg := c.derivs[prop]
+	if !isArg {
+		return func() int { return expr.MonotoneSign(c.diff, prop, n) }
+	}
+	if d != nil {
+		d = expr.Compile(d, n.lookupProp)
+	}
+	return func() int { return derivativeSign(d, n) }
 }
 
 // propID returns the dense id of the named property, or -1.
@@ -238,6 +262,14 @@ func (n *Network) Properties() []*Property {
 func (n *Network) Constraints() []*Constraint {
 	return append([]*Constraint(nil), n.conList...)
 }
+
+// Generation returns the structure generation: it moves whenever a
+// property or constraint is added, and a clone starts at its source's.
+// Together with the network's identity it keys caches, held outside the
+// network, of data derived from its structure (the DCM's view plans).
+// CloneInto gives its destination the source's structure and generation,
+// so a network used as a CloneInto destination cannot key such a cache.
+func (n *Network) Generation() int64 { return n.gen }
 
 // NumProperties returns the number of properties.
 func (n *Network) NumProperties() int { return len(n.propList) }

@@ -2,6 +2,7 @@ package dcm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dddl"
@@ -79,7 +80,10 @@ func TestExpandFixDirectionsThroughChain(t *testing.T) {
 	if d.Net.Status("GainSpec").String() != "Violated" {
 		t.Fatalf("setup: GainSpec = %v", d.Net.Status("GainSpec"))
 	}
-	dirs := ExpandFixDirections(d, c)
+	dirs := violation(t, BuildView(d, "eng"), "GainSpec").FixDirections
+	if ref := ExpandFixDirections(d, c); !reflect.DeepEqual(dirs, ref) {
+		t.Errorf("view FixDirections %v, reference %v", dirs, ref)
+	}
 	// Raising NetGain: Gain up → W up (+1), I up (+1); Loss down →
 	// R up (+1, Loss = 200/R decreasing in R). MinGain down (-1).
 	want := map[string]int{"W": +1, "I": +1, "R": +1, "MinGain": -1}
@@ -104,7 +108,14 @@ func TestExpandFixStepsChainRule(t *testing.T) {
 	if math.Abs(margin-60) > 1e-6 {
 		t.Fatalf("margin = %v, want 60", margin)
 	}
-	steps := ExpandFixSteps(d, c, margin)
+	vi := violation(t, BuildView(d, "eng"), "GainSpec")
+	if vi.Margin != margin {
+		t.Errorf("view margin %v, want %v", vi.Margin, margin)
+	}
+	steps := vi.FixSteps
+	if ref := ExpandFixSteps(d, c, margin); !reflect.DeepEqual(steps, ref) {
+		t.Errorf("view FixSteps %v, reference %v", steps, ref)
+	}
 	// ∂NetGain/∂W = 5·√I = 10 → step 6.
 	if got := steps["W"]; math.Abs(got-6) > 1e-6 {
 		t.Errorf("step[W] = %v, want 6", got)
@@ -121,6 +132,18 @@ func TestExpandFixStepsChainRule(t *testing.T) {
 	if s := ExpandFixSteps(d, c, -5); len(s) != 0 {
 		t.Errorf("negative margin produced steps %v", s)
 	}
+}
+
+// violation returns the view's entry for the named violated constraint.
+func violation(t *testing.T, v *View, name string) ViolationInfo {
+	t.Helper()
+	for _, vi := range v.Violations {
+		if vi.Constraint == name {
+			return vi
+		}
+	}
+	t.Fatalf("designer %s's view lacks violation %s (has %v)", v.Designer, name, v.Violations)
+	return ViolationInfo{}
 }
 
 func TestExpandFixDirectionsConflictingAdvice(t *testing.T) {

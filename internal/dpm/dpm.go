@@ -69,6 +69,10 @@ type DPM struct {
 	// events. SetTracer also attaches it to Net for propagate events;
 	// scratch networks never carry it (Network.CloneInto drops it).
 	tracer *trace.Recorder
+	// viewPlans is the DCM's cache of per-designer view plans
+	// (dcm.BuildView), opaque to the DPM. It holds per-view workspace,
+	// so Fork never copies it: a fork starts with none.
+	viewPlans any
 }
 
 // windowRefresh is one DPM's movement-window refresh workspace, reused
@@ -272,6 +276,13 @@ func (d *DPM) SetTracer(tr *trace.Recorder) {
 	d.tracer = tr
 	d.Net.SetTracer(tr)
 }
+
+// ViewPlans returns the slot SetViewPlans last filled, or nil.
+func (d *DPM) ViewPlans() any { return d.viewPlans }
+
+// SetViewPlans stores the DCM's view-plan cache on the DPM. The DPM
+// never reads it; it only keeps it with the state it was built from.
+func (d *DPM) SetViewPlans(p any) { d.viewPlans = p }
 
 // Problem returns the named problem, or nil.
 func (d *DPM) Problem(name string) *Problem { return d.problems[name] }

@@ -584,6 +584,3 @@ func (f *Follower) Sessions(shard int) map[string]*wal.SessionImage {
 	}
 	return out
 }
-
-// Dir returns the follower's data directory.
-func (f *Follower) Dir() string { return f.opts.Dir }
